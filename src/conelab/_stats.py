@@ -1,9 +1,32 @@
 """Distance correlation, energy distance and permutation machinery.
 
 Internal helpers for the independence harness.  Statistics are computed on
-explicit double-centered distance matrices (the biased V-statistic form) so
-permutation nulls reuse the matrices; sample caps keep the O(n^2) cost of
-the permutation loop within the suite runtime budgets.
+explicit distance matrices (the biased V-statistic form), so every
+permutation of the null reuses the matrices built once per test.  Each
+permutation still costs O(m^2) memory traffic, which the ``max_points``
+caps bound.
+
+Two kernels keep that traffic small:
+
+* distance correlation (Szekely, Rizzo & Bakirov 2007): the two distance
+  variances do not change under a permutation of one sample, so a permuted
+  statistic exceeds the observed one exactly when its distance covariance
+  ``sum(a * b[p][:, p])`` does.  The permuted matrix is gathered a band of
+  rows at a time and reduced with a dot product, so no ``m x m`` temporary
+  is built per permutation.
+* two-sample energy test (Szekely & Rizzo 2004): the group-A labels of a
+  block of permutations are the 0/1 columns of an indicator matrix ``Z``;
+  ``colsum(Z * (D @ Z))`` gives every within-A distance sum of the block
+  through matrix products.  The pooled distance matrix ``D`` is computed a
+  band of rows at a time and never held whole, and blocks have a fixed
+  width, so memory does not grow with the sample or the permutation count.
+
+Both tests draw their permutations one at a time with
+``rng.permutation``, in the same order as a plain loop, so the generator
+ends in the same state and the add-one p-values are those of the direct
+computation.  The observed statistic goes through the same arithmetic as
+the permuted ones, so a permutation that leaves the statistic unchanged
+always counts as an exceedance.
 """
 
 from __future__ import annotations
@@ -56,6 +79,20 @@ def subsample_rows(n: int, max_points: int, rng: np.random.Generator) -> np.ndar
     return np.sort(rng.permutation(n)[:max_points])
 
 
+# Rows of the permuted distance matrix gathered per step of the dcor kernel;
+# a 64-row band of a 1024-point matrix (512 kB) stays in cache.
+_DCOR_ROW_BAND = 64
+
+
+def _permuted_covariance(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
+    """``sum(a * b[perm][:, perm])``, gathered one band of rows at a time."""
+    total = 0.0
+    for lo in range(0, len(perm), _DCOR_ROW_BAND):
+        rows = np.take(b, perm[lo : lo + _DCOR_ROW_BAND], axis=0)
+        total += float(np.vdot(a[lo : lo + _DCOR_ROW_BAND], np.take(rows, perm, axis=1)))
+    return total
+
+
 def dcor_permutation_test(
     x: np.ndarray,
     y: np.ndarray,
@@ -67,6 +104,8 @@ def dcor_permutation_test(
 
     The p-value uses the add-one convention (1 + #{perm >= observed}) /
     (1 + n_perm), so it is never zero and is exact for exchangeable nulls.
+    Permutations are ranked by distance covariance, which orders them as
+    distance correlation does (the variances are permutation invariant).
     """
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
@@ -74,14 +113,22 @@ def dcor_permutation_test(
     a, b = centered_distance_matrices(x[keep], y[keep])
     observed = dcor_from_centered(a, b)
     m = a.shape[0]
+    # dcor clips a negative covariance to 0, so the ranking clips it too
+    cov_obs = max(_permuted_covariance(a, b, np.arange(m)), 0.0)
     exceed = 0
     for _ in range(n_perm):
         perm = rng.permutation(m)
-        stat = dcor_from_centered(a, b[np.ix_(perm, perm)])
-        if stat >= observed:
+        if max(_permuted_covariance(a, b, perm), 0.0) >= cov_obs:
             exceed += 1
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(m)
+
+
+def _energy_from_sums(s_aa, r_a, total: float, na: int, nb: int):
+    """Energy statistic from the within-A sum and the A row-sum total."""
+    s_ab = r_a - s_aa
+    s_bb = total + s_aa - 2.0 * r_a
+    return 2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb)
 
 
 def energy_statistic(dist: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray, row_sums=None) -> float:
@@ -91,10 +138,41 @@ def energy_statistic(dist: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray, row
     na, nb = len(idx_a), len(idx_b)
     s_aa = dist[np.ix_(idx_a, idx_a)].sum()
     r_a = row_sums[idx_a].sum()
-    total = row_sums.sum()
-    s_ab = r_a - s_aa
-    s_bb = total + s_aa - 2.0 * r_a
-    return float(2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb))
+    return float(_energy_from_sums(s_aa, r_a, row_sums.sum(), na, nb))
+
+
+# Permutations per indicator block of the energy kernel.  One block holds the
+# usual 199 permutations and the identity, so the pooled distances are
+# computed twice per test (row sums, then products); larger counts take more
+# blocks, and memory stays fixed.
+_ENERGY_PERM_BLOCK = 256
+# Rows of the pooled distance matrix computed at a time (128 x 2500 doubles
+# is 2.5 MB), so the full N x N matrix is never held.
+_ENERGY_ROW_BAND = 128
+
+
+def _energy_indicator_blocks(n: int, na: int, n_perm: int, rng: np.random.Generator):
+    """Yield (n, k) 0/1 matrices whose columns mark group A, k <= _ENERGY_PERM_BLOCK.
+
+    Column 0 of the first block is the identity labelling (the first ``na``
+    points); the other ``n_perm`` columns are ``rng.permutation(n)[:na]``,
+    drawn one at a time in stream order as the blocks are consumed.
+    """
+    drawn = -1  # the identity labelling takes the first column
+    while drawn < n_perm:
+        width = min(_ENERGY_PERM_BLOCK, n_perm - drawn)
+        z = np.zeros((n, width))
+        for j in range(width):
+            group_a = np.arange(na) if drawn < 0 else rng.permutation(n)[:na]
+            z[group_a, j] = 1.0
+            drawn += 1
+        yield z
+
+
+def _distance_row_bands(pool: np.ndarray):
+    """Yield (first row, rows of ``cdist(pool, pool)``), _ENERGY_ROW_BAND rows at a time."""
+    for lo in range(0, len(pool), _ENERGY_ROW_BAND):
+        yield lo, cdist(pool[lo : lo + _ENERGY_ROW_BAND], pool)
 
 
 def energy_permutation_test(
@@ -104,23 +182,32 @@ def energy_permutation_test(
     rng: np.random.Generator,
     max_points: int = 768,
 ):
-    """Permutation two-sample energy test; returns (stat, p, n_used_per_group)."""
+    """Permutation two-sample energy test; returns (stat, p, n_used_per_group).
+
+    The p-value uses the add-one convention, as in `dcor_permutation_test`.
+    """
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     keep_a = subsample_rows(len(a), max_points, rng)
     keep_b = subsample_rows(len(b), max_points, rng)
     pool = np.vstack([a[keep_a], b[keep_b]])
     na = len(keep_a)
-    dist = cdist(pool, pool)
-    row_sums = dist.sum(axis=1)
-    labels = np.arange(len(pool))
-    observed = energy_statistic(dist, labels[:na], labels[na:], row_sums)
+    nb = len(pool) - na
+    row_sums = np.concatenate([band.sum(axis=1) for _, band in _distance_row_bands(pool)])
+    total = row_sums.sum()
+    # the sums energy_statistic forms from the full matrix, in the same order
+    s_aa = cdist(pool[:na], pool[:na]).sum()
+    observed = _energy_from_sums(s_aa, row_sums[:na].sum(), total, na, nb)
     exceed = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(len(pool))
-        stat = energy_statistic(dist, perm[:na], perm[na:], row_sums)
-        if stat >= observed:
-            exceed += 1
+    kernel_obs = None
+    for z in _energy_indicator_blocks(len(pool), na, n_perm, rng):
+        dist_z = np.empty_like(z)
+        for lo, band in _distance_row_bands(pool):
+            dist_z[lo : lo + len(band)] = band @ z
+        stats = _energy_from_sums(np.einsum("ij,ij->j", z, dist_z), row_sums @ z, total, na, nb)
+        if kernel_obs is None:
+            kernel_obs, stats = stats[0], stats[1:]
+        exceed += int(np.count_nonzero(stats >= kernel_obs))
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(min(na, len(keep_b)))
 

@@ -10,7 +10,8 @@ Exit codes: 0 all checks passed, 1 a suite or decomposition failed its
 thresholds, 2 unusable configuration.  Reports depend only on (config, seed):
 suites run sequentially and every random draw flows from the config seed, so
 identical configs produce byte-identical report files.  The environment
-variable CONELAB_THREADS caps the BLAS thread pool.
+variable CONELAB_THREADS caps the BLAS thread pool through threadpoolctl;
+without threadpoolctl the cap is not applied and a warning says so.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -98,6 +100,8 @@ from .triangular import (
     frobenius_transform,
     triangular_decompose,
 )
+
+logger = logging.getLogger("conelab")
 
 SUITE_NAMES = (
     "algebra-axioms",
@@ -529,10 +533,12 @@ def _thread_limit():
         raise ConfigError(f"CONELAB_THREADS must be an integer, got {value!r}")
     try:
         from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=limit)
-    except ImportError:  # pragma: no cover - threadpoolctl ships with scipy
+    except ImportError:  # threadpoolctl is optional; scipy does not require it
+        logger.warning(
+            "CONELAB_THREADS=%s was not applied: threadpoolctl is not installed", value
+        )
         return None
+    return threadpool_limits(limits=limit)
 
 
 def cmd_run(cfg: dict, out_dir: Path) -> int:

@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import sys
 
 import numpy as np
 
@@ -58,6 +60,31 @@ def test_run_reports_are_byte_identical(tmp_path):
         b1 = (tmp_path / "r1" / f"{name}.json").read_bytes()
         b2 = (tmp_path / "r2" / f"{name}.json").read_bytes()
         assert b1 == b2
+
+
+def test_thread_cap_without_threadpoolctl_warns(tmp_path, monkeypatch, caplog):
+    """CONELAB_THREADS is reported as not applied, and reports keep their bytes."""
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # the import now fails
+    suites = ["algebra-axioms", "lukacs"]
+    samples = {"algebra-axioms": 200, "lukacs": 400}
+    plain, capped = (
+        write_config(tmp_path, name=f"{d}.json", out_dir=str(tmp_path / d), suites=suites, samples=samples)
+        for d in ("r1", "r2")
+    )
+    monkeypatch.delenv("CONELAB_THREADS", raising=False)
+    with caplog.at_level(logging.WARNING, logger="conelab"):
+        assert cli.main(["run", str(plain)]) == 0
+    assert not [r for r in caplog.records if "CONELAB_THREADS" in r.getMessage()]
+    monkeypatch.setenv("CONELAB_THREADS", "1")
+    with caplog.at_level(logging.WARNING, logger="conelab"):
+        assert cli.main(["run", str(capped)]) == 0
+    warnings = [r for r in caplog.records if "CONELAB_THREADS" in r.getMessage()]
+    assert len(warnings) == 1
+    assert warnings[0].name == "conelab" and warnings[0].levelno == logging.WARNING
+    assert "not applied" in warnings[0].getMessage()
+    for name in suites + ["summary"]:
+        report = f"{name}.json"
+        assert (tmp_path / "r1" / report).read_bytes() == (tmp_path / "r2" / report).read_bytes()
 
 
 def test_unknown_suite_is_usage_error(tmp_path, capsys):

@@ -100,3 +100,141 @@ def test_subsample_deterministic():
     idx2 = _stats.subsample_rows(1000, 100, rng2)
     assert_allclose(idx1, idx2)
     assert len(np.unique(idx1)) == 100
+
+
+# Reference permutation loops with direct np.ix_ gathers.  The kernels in
+# _stats must give the same (stat, p, n_used) and leave the generator in the
+# same state.
+
+
+def reference_dcor_permutation_test(x, y, n_perm, rng, max_points=1280):
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    keep = _stats.subsample_rows(len(x), max_points, rng)
+    a, b = _stats.centered_distance_matrices(x[keep], y[keep])
+    observed = _stats.dcor_from_centered(a, b)
+    m = a.shape[0]
+    exceed = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(m)
+        if _stats.dcor_from_centered(a, b[np.ix_(perm, perm)]) >= observed:
+            exceed += 1
+    return float(observed), float((1.0 + exceed) / (1.0 + n_perm)), int(m)
+
+
+def reference_energy_permutation_test(a, b, n_perm, rng, max_points=768):
+    from scipy.spatial.distance import cdist
+
+    a = np.atleast_2d(a)
+    b = np.atleast_2d(b)
+    keep_a = _stats.subsample_rows(len(a), max_points, rng)
+    keep_b = _stats.subsample_rows(len(b), max_points, rng)
+    pool = np.vstack([a[keep_a], b[keep_b]])
+    na = len(keep_a)
+    dist = cdist(pool, pool)
+    row_sums = dist.sum(axis=1)
+    labels = np.arange(len(pool))
+    observed = _stats.energy_statistic(dist, labels[:na], labels[na:], row_sums)
+    exceed = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(len(pool))
+        if _stats.energy_statistic(dist, perm[:na], perm[na:], row_sums) >= observed:
+            exceed += 1
+    return float(observed), float((1.0 + exceed) / (1.0 + n_perm)), int(min(na, len(keep_b)))
+
+
+def assert_same_test(kernel, reference, seed, data, n_perm, max_points):
+    rng_new = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    got = kernel(*data, n_perm, rng_new, max_points=max_points)
+    want = reference(*data, n_perm, rng_ref, max_points=max_points)
+    assert got == want
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n, max_points", [(150, 120), (90, 120)])
+def test_dcor_kernel_matches_reference(seed, n, max_points):
+    data_rng = np.random.default_rng(100 + seed)
+    x = data_rng.standard_normal((n, 2))
+    # weak dependence, so p-values land away from both ends
+    y = 0.15 * x + data_rng.standard_normal((n, 2))
+    assert_same_test(
+        _stats.dcor_permutation_test, reference_dcor_permutation_test,
+        seed, (x, y), 49, max_points,
+    )
+
+
+@pytest.mark.parametrize("n_perm", [0, 1])
+def test_dcor_kernel_matches_reference_perm_counts(n_perm):
+    data_rng = np.random.default_rng(7)
+    x = data_rng.standard_normal((80, 2))
+    y = 0.1 * x + data_rng.standard_normal((80, 2))
+    assert_same_test(
+        _stats.dcor_permutation_test, reference_dcor_permutation_test,
+        11, (x, y), n_perm, 64,
+    )
+
+
+def test_dcor_kernel_matches_reference_constant_sample():
+    """A constant sample has zero distance variance: every permutation ties."""
+    x = np.ones((60, 2))
+    y = np.random.default_rng(4).standard_normal((60, 2))
+    assert_same_test(
+        _stats.dcor_permutation_test, reference_dcor_permutation_test,
+        2, (x, y), 19, 100,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("sizes, max_points", [((140, 90), 100), ((70, 110), 200)])
+def test_energy_kernel_matches_reference(seed, sizes, max_points):
+    """A subsampled and a whole group, and two whole groups; sizes differ."""
+    data_rng = np.random.default_rng(200 + seed)
+    a = data_rng.standard_normal((sizes[0], 2))
+    b = data_rng.standard_normal((sizes[1], 2)) + 0.15
+    assert_same_test(
+        _stats.energy_permutation_test, reference_energy_permutation_test,
+        seed, (a, b), 99, max_points,
+    )
+
+
+BLOCK = _stats._ENERGY_PERM_BLOCK
+
+
+@pytest.mark.parametrize("n_perm", [0, 1, BLOCK - 1, BLOCK + 1])
+def test_energy_kernel_matches_reference_perm_counts(n_perm):
+    """One permutation, and counts that fill the first block or spill one over."""
+    data_rng = np.random.default_rng(9)
+    a = data_rng.standard_normal((60, 2))
+    b = data_rng.standard_normal((45, 2)) + 0.2
+    assert_same_test(
+        _stats.energy_permutation_test, reference_energy_permutation_test,
+        5, (a, b), n_perm, 100,
+    )
+
+
+@pytest.mark.parametrize("n_perm", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+def test_energy_indicator_blocks_are_bounded(n_perm):
+    """Indicator blocks never exceed the fixed width, whatever n_perm is, and
+    hold the identity labelling followed by the permutations in stream order."""
+    n, na = 30, 12
+    rng = np.random.default_rng(3)
+    ref_rng = np.random.default_rng(3)
+    blocks = []
+    for z in _stats._energy_indicator_blocks(n, na, n_perm, rng):
+        # permutations are drawn per block, as the blocks are consumed
+        for _ in range(z.shape[1] - (not blocks)):
+            ref_rng.permutation(n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        blocks.append(z)
+    assert all(z.shape[0] == n and 1 <= z.shape[1] <= BLOCK for z in blocks)
+    z = np.hstack(blocks)
+    assert z.shape == (n, n_perm + 1)
+    assert np.array_equal(z.sum(axis=0), np.full(n_perm + 1, na))
+    assert np.array_equal(np.flatnonzero(z[:, 0]), np.arange(na))
+    ref_rng = np.random.default_rng(3)
+    for j in range(1, n_perm + 1):
+        want = np.sort(ref_rng.permutation(n)[:na])
+        assert np.array_equal(np.flatnonzero(z[:, j]), want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
