@@ -23,7 +23,6 @@ Gamma-function formulas hold.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,8 +34,6 @@ from .errors import (
     SingularElementError,
     ValidationError,
 )
-
-logger = logging.getLogger("conelab")
 
 SYM_REAL = "sym_real"
 HERM_COMPLEX = "herm_complex"
@@ -328,12 +325,6 @@ class Endomorphism:
             raise AlgebraMismatchError("endomorphisms from different algebras")
         return Endomorphism(self.algebra, self.matrix @ other.matrix)
 
-    def inverse(self) -> "Endomorphism":
-        cond = np.linalg.cond(self.matrix)
-        if cond > 1e12:
-            logger.warning("inverting endomorphism with condition estimate %.3e", cond)
-        return Endomorphism(self.algebra, np.linalg.inv(self.matrix))
-
     def solve(self, x: Element) -> Element:
         """Apply the inverse map without forming it."""
         if x.algebra != self.algebra:
@@ -348,6 +339,14 @@ class Endomorphism:
     def ddet(self) -> float:
         """Determinant in the space of endomorphisms."""
         return float(np.linalg.det(self.matrix))
+
+
+def batch_quad_rep(
+    algebra: AlgebraDescriptor, a: np.ndarray, a_sq: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Rows of P(a_i) y_i = 2 a(a y) - a^2 y, given the rows of a and of a^2."""
+    ay = batch_jordan_product(algebra, a, y)
+    return 2.0 * batch_jordan_product(algebra, a, ay) - batch_jordan_product(algebra, a_sq, y)
 
 
 def lmap(x: Element) -> Endomorphism:
@@ -385,38 +384,87 @@ class SpectralDecomposition:
         return Element(algebra, coords)
 
 
-def _lorentz_split(x: Element) -> tuple:
-    """Eigenvalues (descending) and the two idempotents of a Lorentz element."""
-    algebra = x.algebra
-    x0 = x.coords[0]
-    tail = x.coords[1:]
-    radius = float(np.linalg.norm(tail))
-    if radius < 1e-300:
-        unit = np.zeros(algebra.dim - 1)
-        unit[0] = 1.0
-    else:
-        unit = tail / radius
-    plus = np.concatenate(([0.5], 0.5 * unit))
-    minus = np.concatenate(([0.5], -0.5 * unit))
-    lam = np.array([x0 + radius, x0 - radius])
-    return lam, (Element(algebra, plus), Element(algebra, minus))
+_LORENTZ_SIGNS = np.array([1.0, -1.0])
+
+
+def _lorentz_radius(coords: np.ndarray) -> np.ndarray:
+    """Euclidean length of the spatial part of each Lorentz row."""
+    # a dot product per row: one row gives the same bits as np.linalg.norm(tail)
+    tail = coords[:, 1:]
+    return np.sqrt((tail[:, None, :] @ tail[:, :, None])[:, 0, 0])
+
+
+def _lorentz_idempotents(coords: np.ndarray, radius: np.ndarray) -> tuple:
+    """Rows of the spectral idempotents (1, +u)/2 and (1, -u)/2 of Lorentz rows."""
+    tail = coords[:, 1:]
+    unit = np.zeros_like(tail)
+    unit[:, 0] = 1.0
+    away = radius >= 1e-300
+    unit[away] = tail[away] / radius[away, None]
+    half = np.full((len(coords), 1), 0.5)
+    return np.concatenate((half, 0.5 * unit), axis=1), np.concatenate((half, -0.5 * unit), axis=1)
+
+
+def batch_eigenvalues(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
+    """Spectral eigenvalues of (n, dim) coordinate rows, shape (n, r), sorted descending.
+
+    On the Lorentz kind they are x_0 +/- |(x_1, ..., x_n)|.
+    """
+    if algebra.kind == LORENTZ:
+        return coords[:, :1] + _lorentz_radius(coords)[:, None] * _LORENTZ_SIGNS
+    return np.linalg.eigvalsh(coords_to_mats(algebra, coords))[:, ::-1]
+
+
+def batch_spectrum(algebra: AlgebraDescriptor, coords: np.ndarray) -> tuple:
+    """Eigenvalues (n, r) of coordinate rows and the map back from values at them.
+
+    The map takes an (n, r) array f, aligned with the eigenvalues, to the rows
+    of sum_i f_i c_i over each row's spectral idempotents c_i.  On the
+    Lorentz kind the idempotents are (1, +/-u)/2, with u the unit direction of
+    the spatial part (the first axis when that part vanishes).  Matrix kinds
+    list their eigenvalues in ascending order here.
+    """
+    if algebra.kind == LORENTZ:
+        plus, minus = _lorentz_idempotents(coords, _lorentz_radius(coords))
+        return batch_eigenvalues(algebra, coords), lambda f: f[:, :1] * plus + f[:, 1:] * minus
+    lam, vecs = np.linalg.eigh(coords_to_mats(algebra, coords))
+    vecs_h = np.conj(np.transpose(vecs, (0, 2, 1)))
+    return lam, lambda f: mats_to_coords(algebra, (vecs * f[:, None, :]) @ vecs_h)
+
+
+def batch_spectral_map(algebra: AlgebraDescriptor, coords: np.ndarray, fn) -> np.ndarray:
+    """Rows of sum_i fn(lambda_i) c_i over the spectral decomposition of each row.
+
+    ``fn`` maps the (n, r) eigenvalue array elementwise.
+    """
+    lam, rebuild = batch_spectrum(algebra, coords)
+    return rebuild(fn(lam))
+
+
+def batch_powers(algebra: AlgebraDescriptor, coords: np.ndarray, *exponents: float) -> list:
+    """Rows of x^p for each exponent p, from one spectral decomposition of the cone points x.
+
+    DomainError when a row has a nonpositive eigenvalue.
+    """
+    lam, rebuild = batch_spectrum(algebra, coords)
+    if np.any(lam <= 0):
+        raise DomainError("batch contains points outside the cone")
+    return [rebuild(lam**p) for p in exponents]
 
 
 def eigenvalues(x: Element) -> np.ndarray:
     """Spectral eigenvalues, sorted descending."""
-    algebra = x.algebra
-    if algebra.kind == LORENTZ:
-        return _lorentz_split(x)[0]
-    lam = np.linalg.eigvalsh(x.to_matrix())
-    return lam[::-1]
+    return batch_eigenvalues(x.algebra, x.coords[None, :])[0]
 
 
 def spectral_decompose(x: Element) -> SpectralDecomposition:
     """Write x = sum_i lambda_i c_i over a complete orthogonal idempotent system."""
     algebra = x.algebra
     if algebra.kind == LORENTZ:
-        lam, frame = _lorentz_split(x)
-        return SpectralDecomposition(frame, lam)
+        coords = x.coords[None, :]
+        plus, minus = _lorentz_idempotents(coords, _lorentz_radius(coords))
+        frame = (Element(algebra, plus[0]), Element(algebra, minus[0]))
+        return SpectralDecomposition(frame, batch_eigenvalues(algebra, coords)[0])
     lam, vecs = np.linalg.eigh(x.to_matrix())
     lam = lam[::-1]
     vecs = vecs[:, ::-1]
@@ -429,13 +477,7 @@ def spectral_decompose(x: Element) -> SpectralDecomposition:
 
 def _spectral_map(x: Element, fn) -> Element:
     """Apply a scalar function to the spectrum of x."""
-    algebra = x.algebra
-    if algebra.kind == LORENTZ:
-        lam, (cp, cm) = _lorentz_split(x)
-        return fn(lam[0]) * cp + fn(lam[1]) * cm
-    lam, vecs = np.linalg.eigh(x.to_matrix())
-    mat = (vecs * fn(lam)) @ vecs.conj().T
-    return from_matrix(algebra, mat)
+    return Element(x.algebra, batch_spectral_map(x.algebra, x.coords[None, :], fn)[0])
 
 
 def trace(x: Element) -> float:
@@ -499,8 +541,10 @@ def is_idempotent(c: Element, tol: float = IDEMPOTENT_TOL) -> bool:
 class JordanFrame:
     """A complete system of primitive orthogonal idempotents, in a fixed order.
 
-    Hashable by identity; caches the projections onto the leading subalgebras
-    since the generalized power functions reuse them heavily.
+    Hashable by identity.  Maps that depend on the frame alone (the
+    projections onto the leading subalgebras, the Peirce half spaces, the
+    strict-upper projections of the triangular group) are built on first use
+    and kept for the frame's lifetime; see :meth:`cached`.
     """
 
     def __init__(self, elements, validate: bool = True, tol: float = IDEMPOTENT_TOL):
@@ -530,7 +574,7 @@ class JordanFrame:
                 raise ValidationError("frame members do not sum to the identity")
         self.elements = elements
         self.algebra = algebra
-        self._leading_projectors = {}
+        self._cache = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -545,12 +589,20 @@ class JordanFrame:
         """Orthogonal projection onto the subalgebra determined by c_1 + .. + c_k."""
         if not 1 <= k <= len(self.elements):
             raise ValidationError(f"order k={k} outside 1..{len(self.elements)}")
-        if k not in self._leading_projectors:
-            u = zero(self.algebra)
-            for c in self.elements[:k]:
-                u = u + c
-            self._leading_projectors[k] = quad_rep(u)
-        return self._leading_projectors[k]
+        return self.cached(("leading", k), lambda: quad_rep(self.partial_sum(0, k)))
+
+    def partial_sum(self, start: int, stop: int) -> Element:
+        """c_start + ... + c_(stop-1), an idempotent."""
+        u = zero(self.algebra)
+        for c in self.elements[start:stop]:
+            u = u + c
+        return u
+
+    def cached(self, key, build):
+        """The frame-only value stored under ``key``, computed by ``build()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
 
 @lru_cache(maxsize=None)
@@ -666,11 +718,6 @@ def random_cone_element(
     if low <= 0:
         raise DomainError("cone elements need a positive spectrum")
     return random_element(algebra, rng, (low, high), log_uniform=log_uniform)
-
-
-def elements_close(x: Element, y: Element, tol: float = 1e-10) -> bool:
-    x._check_same(y)
-    return bool(np.max(np.abs(x.coords - y.coords)) <= tol)
 
 
 def axiom_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator) -> dict:

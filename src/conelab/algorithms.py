@@ -4,6 +4,11 @@ An algorithm maps each cone point x to a cone automorphism w(x) with
 w(x) e = x.  The two canonical constructions are the quadratic one
 (w1: x -> P(x^{1/2})) and the triangular one (w2: x -> t_x); ``interp``
 blends them and ``k_extended`` post-composes with a fixed rotation.
+
+Every algorithm evaluates w(x) as an endomorphism for one point, and
+applies w(x) or g(x) = w(x)^{-1} to (n, dim) coordinate batches through
+:meth:`MultiplicationAlgorithm.apply_batch` and
+:meth:`MultiplicationAlgorithm.solve_batch`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from .algebra import (
     Element,
     Endomorphism,
     JordanFrame,
+    batch_eigenvalues,
+    batch_powers,
+    batch_quad_rep,
     determinant,
     eigenvalues,
     element_power,
@@ -31,16 +39,25 @@ from .algebra import (
     standard_frame,
 )
 from .errors import ValidationError
-from .triangular import as_endomorphism, triangular_decompose
+from .triangular import as_endomorphism, batch_triangular_decompose, triangular_decompose
+
+BatchMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class MultiplicationAlgorithm:
-    """A map x -> w(x) in the automorphism group with w(x) e = x."""
+    """A map x -> w(x) in the automorphism group with w(x) e = x.
+
+    ``evaluator`` builds w(x) for one point; ``batch_apply`` and
+    ``batch_solve`` map coordinate rows (x_i, y_i) to w(x_i) y_i and
+    g(x_i) y_i without forming w(x_i).
+    """
 
     kind: str
     algebra: AlgebraDescriptor
     evaluator: Callable[[Element], Endomorphism] = field(repr=False)
+    batch_apply: BatchMap = field(repr=False)
+    batch_solve: BatchMap = field(repr=False)
     homogeneous: bool = True
     frame: Optional[JordanFrame] = None
     alpha: Optional[float] = None
@@ -50,17 +67,46 @@ class MultiplicationAlgorithm:
         require_in_cone(x, "multiplication algorithm argument")
         return self.evaluator(x)
 
+    def apply_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows w(x_i) y_i for (n, dim) arrays; DomainError when an x_i leaves the cone."""
+        return self.batch_apply(*self._rows(x, y))
+
+    def solve_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows g(x_i) y_i with g = w^{-1}; the batched form of :func:`divide`."""
+        return self.batch_solve(*self._rows(x, y))
+
+    def _rows(self, x, y) -> tuple:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.algebra.dim or x.shape != y.shape:
+            raise ValidationError(
+                f"expected two (n, {self.algebra.dim}) coordinate arrays, "
+                f"got {x.shape} and {y.shape}"
+            )
+        return x, y
+
     def unit_image(self) -> Endomorphism:
         """w(e); the identity for w1/w2/interp, the fixed rotation for k_extended."""
         return self.evaluator(identity(self.algebra))
 
 
+def _quad_power_rows(algebra: AlgebraDescriptor, p: float) -> BatchMap:
+    """Rows of P(x^p) y = 2 x^p (x^p y) - x^(2p) y."""
+
+    def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return batch_quad_rep(algebra, *batch_powers(algebra, x, p, 2.0 * p), y)
+
+    return rows
+
+
 def w1(algebra: AlgebraDescriptor) -> MultiplicationAlgorithm:
-    """The quadratic algorithm x -> P(x^{1/2})."""
+    """The quadratic algorithm x -> P(x^{1/2}); g(x) = P(x^{-1/2})."""
     return MultiplicationAlgorithm(
         kind="w1",
         algebra=algebra,
         evaluator=lambda x: quad_rep(sqrt_element(x)),
+        batch_apply=_quad_power_rows(algebra, 0.5),
+        batch_solve=_quad_power_rows(algebra, -0.5),
         homogeneous=True,
         spec="w1",
     )
@@ -74,6 +120,8 @@ def w2(frame) -> MultiplicationAlgorithm:
         kind="w2",
         algebra=frame.algebra,
         evaluator=lambda x: as_endomorphism(triangular_decompose(x, frame)),
+        batch_apply=lambda x, y: batch_triangular_decompose(x, frame).apply(y),
+        batch_solve=lambda x, y: batch_triangular_decompose(x, frame).solve(y),
         homogeneous=True,
         frame=frame,
         spec="w2",
@@ -93,10 +141,23 @@ def interp(alpha: float, frame) -> MultiplicationAlgorithm:
         )
         return head @ tail
 
+    algebra = frame.algebra
+
+    def apply_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        head, head_sq, q = batch_powers(algebra, x, alpha, 2.0 * alpha, 1.0 - 2.0 * alpha)
+        return batch_quad_rep(algebra, head, head_sq, batch_triangular_decompose(q, frame).apply(y))
+
+    def solve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # g(x) = t_q^{-1} P(x^{-alpha}) with q = x^(1 - 2 alpha)
+        head, head_sq, q = batch_powers(algebra, x, -alpha, -2.0 * alpha, 1.0 - 2.0 * alpha)
+        return batch_triangular_decompose(q, frame).solve(batch_quad_rep(algebra, head, head_sq, y))
+
     return MultiplicationAlgorithm(
         kind="interp",
-        algebra=frame.algebra,
+        algebra=algebra,
         evaluator=evaluate,
+        batch_apply=apply_rows,
+        batch_solve=solve_rows,
         homogeneous=True,
         frame=frame,
         alpha=alpha,
@@ -110,10 +171,15 @@ def k_extended(base: MultiplicationAlgorithm, k: Endomorphism, spec: str = "") -
         raise ValidationError("rotation and base algorithm from different algebras")
     if norm(k.apply(identity(base.algebra)) - identity(base.algebra)) > 1e-9:
         raise ValidationError("the extension factor must fix e")
+    # rows: w(x) y = base(x) (k y), g(x) y = k^{-1} g_base(x) y
+    k_t = k.matrix.T
+    k_inv_t = np.linalg.inv(k.matrix).T
     return MultiplicationAlgorithm(
         kind="kext",
         algebra=base.algebra,
         evaluator=lambda x: base.evaluator(x) @ k,
+        batch_apply=lambda x, y: base.batch_apply(x, y @ k_t),
+        batch_solve=lambda x, y: base.batch_solve(x, y) @ k_inv_t,
         homogeneous=base.homogeneous,
         frame=base.frame,
         spec=spec or f"kext:{base.spec}",
@@ -131,10 +197,23 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
         branch = quad if determinant(x) > 1.0 else tri
         return branch.evaluator(x)
 
+    def split(quad_rows: BatchMap, tri_rows: BatchMap) -> BatchMap:
+        def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            upper = np.prod(batch_eigenvalues(frame.algebra, x), axis=1) > 1.0
+            out = np.empty_like(y)
+            for mask, branch_rows in ((upper, quad_rows), (~upper, tri_rows)):
+                if mask.any():
+                    out[mask] = branch_rows(x[mask], y[mask])
+            return out
+
+        return rows
+
     return MultiplicationAlgorithm(
         kind="piecewise",
         algebra=frame.algebra,
         evaluator=evaluate,
+        batch_apply=split(quad.batch_apply, tri.batch_apply),
+        batch_solve=split(quad.batch_solve, tri.batch_solve),
         homogeneous=False,
         frame=frame,
         spec="piecewise",

@@ -32,7 +32,6 @@ from .algebra import (
     identity,
     inner,
     inverse,
-    jordan_product,
     mats_to_coords,
     parse_algebra,
     random_element,
@@ -41,24 +40,17 @@ from .algebra import (
 )
 from .errors import DomainError, ValidationError
 from .funceq import LogCauchyFn, delta_s_log, log_det_power
-from .peirce import PowerExponent, build_peirce_basis, generalized_power_log
-from .triangular import as_endomorphism, triangular_decompose
+from .peirce import PowerExponent, build_peirce_basis, exponent_vector, generalized_power_log
+from .triangular import as_endomorphism, batch_frobenius, triangular_decompose
 
 # ---------------------------------------------------------------------------
 # the cone Gamma function
 # ---------------------------------------------------------------------------
 
 
-def _exponent_array(s, algebra: AlgebraDescriptor) -> np.ndarray:
-    s = PowerExponent.of(s)
-    if len(s) != algebra.rank:
-        raise ValidationError(f"exponent has {len(s)} entries, rank is {algebra.rank}")
-    return s.as_array()
-
-
 def gamma_shapes(s, algebra: AlgebraDescriptor) -> np.ndarray:
     """The shifted parameters s_j - (j-1) d/2; all must be positive."""
-    svec = _exponent_array(s, algebra)
+    svec = exponent_vector(s, algebra.rank)
     shifts = 0.5 * algebra.peirce_d * np.arange(algebra.rank)
     return svec - shifts
 
@@ -228,23 +220,13 @@ def _sample_riesz_sym_real_standard(params: RieszParams, n: int, rng: np.random.
     return [Element(algebra, row) for row in coords]
 
 
-def _apply_frobenius(c: Element, z: Element, y: Element) -> Element:
-    """tau_c(z) y through Jordan products only (z already in the half space)."""
-
-    def n_apply(v: Element) -> Element:
-        zc = jordan_product(z, c)
-        return 2.0 * (
-            jordan_product(zc, v)
-            + jordan_product(z, jordan_product(c, v))
-            - jordan_product(c, jordan_product(z, v))
-        )
-
-    ny = n_apply(y)
-    return y + ny + 0.5 * n_apply(ny)
-
-
 def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator):
-    """n independent draws, deterministic under the generator state."""
+    """n independent draws, deterministic under the generator state.
+
+    Each draw takes its gamma diagonal and then its Gaussian Frobenius
+    parameters from ``rng``, draw by draw; the group elements are then
+    applied to the whole batch at once.
+    """
     algebra = params.algebra
     if algebra.kind == SYM_REAL and params.frame.elements == standard_frame(algebra).elements:
         return _sample_riesz_sym_real_standard(params, n, rng)
@@ -252,27 +234,22 @@ def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator):
     frame = params.frame
     basis = build_peirce_basis(frame)
     shapes = gamma_shapes(params.s, algebra)
-    z_rows = []
-    for j in range(r - 1):
-        rows = np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)])
-        z_rows.append(rows)
-    scale = _scale_endomorphism(params)
-    out = []
-    for _ in range(n):
-        alphas = rng.gamma(shape=shapes)
-        zs = []
+    z_rows = [
+        np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)]) for j in range(r - 1)
+    ]
+    alphas = np.empty((n, r))
+    xis = [np.empty((n, rows.shape[0])) for rows in z_rows]
+    for i in range(n):
+        alphas[i] = rng.gamma(shape=shapes)
         for j in range(r - 1):
-            xi = rng.standard_normal(z_rows[j].shape[0]) / np.sqrt(alphas[j])
-            zs.append(Element(algebra, xi @ z_rows[j]))
-        y = Element(
-            algebra, np.sum([a * c.coords for a, c in zip(alphas, frame)], axis=0)
-        )
-        for j in range(r - 2, -1, -1):
-            y = _apply_frobenius(frame[j], zs[j], y)
-        if scale is not None:
-            y = scale.apply(y)
-        out.append(y)
-    return out
+            xis[j][i] = rng.standard_normal(z_rows[j].shape[0]) / np.sqrt(alphas[i, j])
+    y = alphas @ np.array([c.coords for c in frame])
+    for j in range(r - 2, -1, -1):
+        y = batch_frobenius(frame, j, xis[j] @ z_rows[j], y)
+    scale = _scale_endomorphism(params)
+    if scale is not None:
+        y = scale.apply_batch(y)
+    return [Element(algebra, row) for row in y]
 
 
 def sample_wishart(params: WishartParams, n: int, rng: np.random.Generator, frame=None):

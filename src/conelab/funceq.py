@@ -28,7 +28,7 @@ from .algebra import (
     standard_frame,
     zero,
 )
-from .algorithms import MultiplicationAlgorithm, divide, multiply
+from .algorithms import MultiplicationAlgorithm, multiply
 from .errors import FitError, InconsistencyError, ValidationError
 from .peirce import PowerExponent, all_principal_minors, generalized_power_log
 
@@ -320,7 +320,10 @@ def olkin_baker_decompose(
     xs = [random_cone_element(algebra, rng, grid.low, grid.high) for _ in range(grid.n_points)]
     ys = [random_cone_element(algebra, rng, grid.low, grid.high) for _ in range(grid.n_points)]
     vs = [x + y for x, y in zip(xs, ys)]
-    us = [divide(w, v, x) for x, v in zip(xs, vs)]
+    u_rows = w.solve_batch(
+        np.array([v.coords for v in vs]), np.array([x.coords for x in xs])
+    )
+    us = [Element(algebra, row) for row in u_rows]
 
     # the equation itself must hold on the grid before anything is fitted
     eq_residual = 0.0

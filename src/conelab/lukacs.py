@@ -17,18 +17,13 @@ import numpy as np
 
 from . import _stats
 from .algebra import (
-    AlgebraDescriptor,
     Element,
-    batch_jordan_product,
-    coords_to_mats,
     determinant,
     identity,
     inner,
-    mats_to_coords,
     norm,
     random_automorphism_k,
     require_in_cone,
-    standard_frame,
 )
 from .algorithms import MultiplicationAlgorithm, divide
 from .distributions import DensityModel, in_domain_D, random_in_domain_D
@@ -135,77 +130,12 @@ def jacobian_check(
 # ---------------------------------------------------------------------------
 
 
-def _batch_inv_sqrt(algebra: AlgebraDescriptor, v: np.ndarray):
-    """Coordinate batches of v^{-1/2} and v^{-1} for cone points v."""
-    if algebra.is_matrix_kind:
-        mats = coords_to_mats(algebra, v)
-        vals, vecs = np.linalg.eigh(mats)
-        if np.any(vals <= 0):
-            raise DomainError("batch contains points outside the cone")
-        inv_sqrt = (vecs * (vals[:, None, :] ** -0.5)) @ np.conj(
-            np.transpose(vecs, (0, 2, 1))
-        )
-        inv = (vecs * (vals[:, None, :] ** -1.0)) @ np.conj(
-            np.transpose(vecs, (0, 2, 1))
-        )
-        return mats_to_coords(algebra, inv_sqrt), mats_to_coords(algebra, inv)
-    x0 = v[:, 0]
-    radius = np.linalg.norm(v[:, 1:], axis=1)
-    lam_p, lam_m = x0 + radius, x0 - radius
-    if np.any(lam_m <= 0):
-        raise DomainError("batch contains points outside the cone")
-    unit = np.zeros_like(v[:, 1:])
-    safe = radius > 0
-    unit[safe] = v[safe, 1:] / radius[safe, None]
-    unit[~safe, 0] = 1.0
-
-    def rebuild(f_p, f_m):
-        out = np.empty_like(v)
-        out[:, 0] = 0.5 * (f_p + f_m)
-        out[:, 1:] = (0.5 * (f_p - f_m))[:, None] * unit
-        return out
-
-    return rebuild(lam_p**-0.5, lam_m**-0.5), rebuild(1.0 / lam_p, 1.0 / lam_m)
-
-
 def batch_quotient(
     w: MultiplicationAlgorithm, x: np.ndarray, y: np.ndarray
 ) -> tuple:
-    """(u, v) coordinate batches for the quotient map; vectorized where possible.
-
-    Fast paths: the quadratic algorithm on every kind, and the triangular
-    algorithm on matrix kinds with the standard frame.  Other combinations
-    fall back to the per-element path.
-    """
-    algebra = w.algebra
+    """(u, v) coordinate batches of the quotient map: v = x + y, u = g(v) x."""
     v = x + y
-    if w.kind == "w1":
-        inv_sqrt, inv = _batch_inv_sqrt(algebra, v)
-        # P(s) x = 2 s (s x) - (s s) x with s = v^{-1/2}
-        sx = batch_jordan_product(algebra, inv_sqrt, x)
-        u = 2.0 * batch_jordan_product(algebra, inv_sqrt, sx) - batch_jordan_product(
-            algebra, inv, x
-        )
-        return u, v
-    if (
-        w.kind == "w2"
-        and algebra.is_matrix_kind
-        and w.frame is not None
-        and w.frame.elements == standard_frame(algebra).elements
-    ):
-        vm = coords_to_mats(algebra, v)
-        xm = coords_to_mats(algebra, x)
-        t = np.linalg.cholesky(vm)
-        half = np.linalg.solve(t, xm)
-        um = np.conj(
-            np.transpose(np.linalg.solve(t, np.conj(np.transpose(half, (0, 2, 1)))), (0, 2, 1))
-        )
-        return mats_to_coords(algebra, um), v
-    rows = []
-    for xi, vi in zip(x, v):
-        u_el = divide(w, Element(algebra, vi), Element(algebra, xi))
-        rows.append(u_el.coords)
-    return np.array(rows), v
+    return w.solve_batch(v, x), v
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ class PowerExponent:
         return len(self.values)
 
 
-def _check_exponent(s, rank: int) -> np.ndarray:
+def exponent_vector(s, rank: int) -> np.ndarray:
+    """The exponent s as an array of ``rank`` entries; ValidationError otherwise."""
     s = PowerExponent.of(s)
     if len(s) != rank:
         raise ValidationError(f"exponent has {len(s)} entries, rank is {rank}")
@@ -77,6 +78,11 @@ def peirce_projectors(c: Element, tol: float = 1e-8) -> dict:
     p0 = quad_rep(identity(algebra) - c)
     ph = Endomorphism(algebra, np.eye(algebra.dim) - p1.matrix - p0.matrix)
     return {0.0: p0, 0.5: ph, 1.0: p1}
+
+
+def half_projector(frame: JordanFrame, j: int) -> Endomorphism:
+    """Projection onto the Peirce half space of the frame member c_j, cached on the frame."""
+    return frame.cached(("half", j), lambda: peirce_projectors(frame[j])[0.5])
 
 
 def peirce_project(x: Element, c: Element, eigenvalue: float) -> Element:
@@ -111,11 +117,6 @@ class PeirceBasis:
     def project(self, x: Element, i: int, j: int) -> Element:
         return Element(x.algebra, self.projector_matrix(i, j) @ x.coords)
 
-    def coordinates(self, x: Element, i: int, j: int) -> np.ndarray:
-        """Trace-form coefficients of x along the (i, j) subspace basis."""
-        rows = self.subspaces[(min(i, j), max(i, j))]
-        return self.frame.algebra.inner_scale * rows @ x.coords
-
 
 def _gram_schmidt_rows(candidates: np.ndarray, scale: float, expect: int) -> np.ndarray:
     """Orthonormalize candidate coordinate rows (trace form) in deterministic order."""
@@ -139,7 +140,7 @@ def build_peirce_basis(frame) -> PeirceBasis:
     algebra = frame.algebra
     r = algebra.rank
     scale = algebra.inner_scale
-    half = [peirce_projectors(c)[0.5].matrix for c in frame]
+    half = [half_projector(frame, j).matrix for j in range(r)]
     subspaces = {}
     total = 0
     basis_eye = np.eye(algebra.dim)
@@ -235,7 +236,7 @@ def generalized_power_log(x: Element, s, frame) -> float:
     """log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x); needs Delta_k > 0."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
-    svec = _check_exponent(s, x.algebra.rank)
+    svec = exponent_vector(s, x.algebra.rank)
     minors = all_principal_minors(x, frame)
     if np.any(minors <= 0.0):
         raise DomainError("generalized power needs all principal minors positive")

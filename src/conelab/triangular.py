@@ -1,4 +1,12 @@
-"""Box operator, Frobenius transformations and the triangular decomposition x = t_x e."""
+"""Box operator, Frobenius transformations and the triangular decomposition x = t_x e.
+
+The triangular group of a frame (c_1, ..., c_r) follows Faraut & Korányi,
+*Analysis on Symmetric Cones* (1994), ch. VI.  Each cone point x is t_x e for
+a unique t_x = tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k).
+The scalar functions work on one :class:`~conelab.algebra.Element`; the
+``batch_*`` functions do the same on (n, dim) coordinate arrays, using only
+batched Jordan products and the frame's cached projections.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +18,8 @@ from .algebra import (
     Element,
     Endomorphism,
     JordanFrame,
+    batch_jordan_product,
+    batch_quad_rep,
     eigenvalues,
     identity,
     inner,
@@ -19,7 +29,7 @@ from .algebra import (
     zero,
 )
 from .errors import DomainError, ValidationError
-from .peirce import peirce_projectors
+from .peirce import half_projector, peirce_projectors
 
 
 def box_operator(x: Element, y: Element) -> Endomorphism:
@@ -31,13 +41,16 @@ def box_operator(x: Element, y: Element) -> Endomorphism:
     return Endomorphism(x.algebra, lxy + lx @ ly - ly @ lx)
 
 
-def frobenius_transform(c: Element, z: Element) -> Endomorphism:
+def frobenius_transform(c: Element, z: Element, half: Endomorphism | None = None) -> Endomorphism:
     """tau_c(z) = I + N + N^2/2 with N = 2 z box c, for z in the half space of c.
 
     N is nilpotent of degree 3, so this is the exact exponential of N.
-    z is projected onto the half space before use.
+    z is projected onto the half space before use; ``half`` is that
+    projection when the caller already holds it (see :func:`half_projector`).
     """
-    z = peirce_projectors(c)[0.5].apply(z)
+    if half is None:
+        half = peirce_projectors(c)[0.5]
+    z = half.apply(z)
     n = 2.0 * box_operator(z, c).matrix
     eye = np.eye(c.algebra.dim)
     return Endomorphism(c.algebra, eye + n + 0.5 * (n @ n))
@@ -74,15 +87,19 @@ class TriangularElement:
         return self.frame.algebra
 
 
-def _strict_upper_projector(frame: JordanFrame, j: int) -> Endomorphism:
-    """Projection onto the span of E_jk for k > j, within the trailing subalgebra."""
-    algebra = frame.algebra
-    tail = zero(algebra)
-    for c in frame.elements[j + 1 :]:
-        tail = tail + c
-    half_j = peirce_projectors(frame[j])[0.5].matrix
-    half_tail_one = quad_rep(tail).matrix + peirce_projectors(tail)[0.5].matrix
-    return Endomorphism(algebra, half_j @ half_tail_one)
+def strict_upper_projector(frame: JordanFrame, j: int) -> Endomorphism:
+    """Projection onto the span of E_jk for k > j, within the trailing subalgebra.
+
+    Cached on the frame.
+    """
+
+    def build() -> Endomorphism:
+        tail = frame.partial_sum(j + 1, len(frame))
+        half_j = half_projector(frame, j).matrix
+        half_tail_one = quad_rep(tail).matrix + peirce_projectors(tail)[0.5].matrix
+        return Endomorphism(frame.algebra, half_j @ half_tail_one)
+
+    return frame.cached(("strict_upper", j), build)
 
 
 def triangular_decompose(x: Element, frame) -> TriangularElement:
@@ -108,10 +125,10 @@ def triangular_decompose(x: Element, frame) -> TriangularElement:
         if alpha <= 0:
             raise DomainError("element is not in the cone of this frame")
         alphas[j] = alpha
-        half = _strict_upper_projector(frame, j).apply(work)
+        half = strict_upper_projector(frame, j).apply(work)
         z = half / alpha
         zs.append(z)
-        work = frobenius_transform(c, -z).apply(work)
+        work = frobenius_transform(c, -z, half_projector(frame, j)).apply(work)
     alphas[r - 1] = inner(work, frame[r - 1])
     if alphas[r - 1] <= 0:
         raise DomainError("element is not in the cone of this frame")
@@ -126,7 +143,8 @@ def as_endomorphism(t: TriangularElement) -> Endomorphism:
         diag = diag + float(np.sqrt(a)) * c
     out = quad_rep(diag).matrix
     for j in range(len(t.frame) - 2, -1, -1):
-        out = frobenius_transform(t.frame[j], t.frobenius_params[j]).matrix @ out
+        tau = frobenius_transform(t.frame[j], t.frobenius_params[j], half_projector(t.frame, j))
+        out = tau.matrix @ out
     return Endomorphism(algebra, out)
 
 
@@ -146,6 +164,89 @@ def compose_triangular(t: TriangularElement, u: TriangularElement) -> Triangular
     combined = as_endomorphism(t) @ as_endomorphism(u)
     image = combined.apply(identity(t.algebra))
     return triangular_decompose(image, t.frame)
+
+
+# ---------------------------------------------------------------------------
+# the triangular group on coordinate batches
+# ---------------------------------------------------------------------------
+
+
+def batch_frobenius(frame: JordanFrame, j: int, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows of tau_{c_j}(z_i) y_i = y + N y + N^2 y / 2 with N v = 2((zc)v + z(cv) - c(zv)).
+
+    ``z`` holds (n, dim) rows in the half space of c = c_j; no projection is
+    applied.  Products with c go through the frame's cached L(c_j).
+    """
+    algebra = frame.algebra
+    lc_t = frame.cached(("lmap", j), lambda: lmap(frame[j])).matrix.T
+    zc = z @ lc_t
+
+    def n_apply(v: np.ndarray) -> np.ndarray:
+        return 2.0 * (
+            batch_jordan_product(algebra, zc, v)
+            + batch_jordan_product(algebra, z, v @ lc_t)
+            - batch_jordan_product(algebra, z, v) @ lc_t
+        )
+
+    ny = n_apply(y)
+    return y + ny + 0.5 * n_apply(ny)
+
+
+@dataclass(frozen=True, eq=False)
+class TriangularBatch:
+    """The triangular elements t_x of a batch of cone points, one per row.
+
+    ``diagonal`` is (n, r); ``frobenius_params`` holds r - 1 arrays of shape
+    (n, dim), the parameters z_j of :class:`TriangularElement` row by row.
+    """
+
+    frame: JordanFrame
+    frobenius_params: tuple
+    diagonal: np.ndarray
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Rows of t_i y_i."""
+        y = _batch_diagonal(self.frame, np.sqrt(self.diagonal), y)
+        for j in range(len(self.frame) - 2, -1, -1):
+            y = batch_frobenius(self.frame, j, self.frobenius_params[j], y)
+        return y
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Rows of t_i^{-1} y_i: tau_{c_j}(z)^{-1} = tau_{c_j}(-z), P(d)^{-1} = P(d^{-1})."""
+        for j in range(len(self.frame) - 1):
+            y = batch_frobenius(self.frame, j, -self.frobenius_params[j], y)
+        return _batch_diagonal(self.frame, self.diagonal**-0.5, y)
+
+
+def _batch_diagonal(frame: JordanFrame, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows of P(sum_k beta_ik c_k) y_i for beta of shape (n, r)."""
+    members = np.array([c.coords for c in frame])
+    return batch_quad_rep(frame.algebra, beta @ members, (beta * beta) @ members, y)
+
+
+def batch_triangular_decompose(x: np.ndarray, frame: JordanFrame) -> TriangularBatch:
+    """:func:`triangular_decompose` of every row of x; DomainError when a row leaves the cone.
+
+    Step j reads alpha_j = <work, c_j> and z_j = S_j work / alpha_j, with S_j
+    the frame's :func:`strict_upper_projector`, then sets
+    work <- tau_{c_j}(-z_j) work.  A row lies in the cone exactly when every
+    alpha_j is positive.
+    """
+    algebra = frame.algebra
+    r = len(frame)
+    alphas = np.empty((len(x), r))
+    zs = []
+    work = x
+    for j in range(r):
+        alphas[:, j] = algebra.inner_scale * (work @ frame[j].coords)
+        if np.any(alphas[:, j] <= 0):
+            raise DomainError("batch contains points outside the cone")
+        if j == r - 1:
+            break
+        z = (work @ strict_upper_projector(frame, j).matrix.T) / alphas[:, j, None]
+        zs.append(z)
+        work = batch_frobenius(frame, j, -z, work)
+    return TriangularBatch(frame, tuple(zs), alphas)
 
 
 def triangular_from_cholesky(mat: np.ndarray, frame) -> TriangularElement:

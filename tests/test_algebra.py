@@ -259,3 +259,24 @@ def test_element_immutable(rng):
     x = alg.random_element(alg.sym_real(2), rng)
     with pytest.raises(ValueError):
         x.coords[0] = 5.0
+
+
+@pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
+def test_batch_spectral_map_matches_scalar_path(a, rng):
+    rows = [alg.random_cone_element(a, rng, 0.1, 10.0) for _ in range(8)]
+    coords = np.array([x.coords for x in rows])
+    assert_allclose(alg.batch_eigenvalues(a, coords), [alg.eigenvalues(x) for x in rows], rtol=1e-12)
+    power, inverse = alg.batch_powers(a, coords, 0.37, -1.0)
+    assert_allclose(power, [alg.element_power(x, 0.37).coords for x in rows], atol=1e-12)
+    assert_allclose(inverse, [alg.inverse(x).coords for x in rows], atol=1e-12)
+    assert_allclose(alg.batch_spectral_map(a, coords, lambda t: t), coords, atol=1e-12)
+    with pytest.raises(DomainError):
+        alg.batch_powers(a, -coords, 0.5)
+
+
+def test_batch_spectral_map_lorentz_axis_point():
+    # a multiple of e has no spatial direction; its idempotents use the first axis
+    a = alg.lorentz(3)
+    coords = np.array([[2.0, 0.0, 0.0, 0.0]])
+    assert_allclose(alg.batch_eigenvalues(a, coords), [[2.0, 2.0]])
+    assert_allclose(alg.batch_spectral_map(a, coords, np.sqrt), [[np.sqrt(2.0), 0.0, 0.0, 0.0]])

@@ -161,3 +161,55 @@ def test_parse_algorithm_specs():
     for bad in ("w3", "interp:x", "kext:w1", "kext:w1:seed"):
         with pytest.raises(ValidationError):
             ma.parse_algorithm(bad, a)
+
+
+def batch_algorithms(a):
+    rot = alg.random_automorphism_k(a, np.random.default_rng(7))
+    rotated = alg.JordanFrame(tuple(rot.apply(c) for c in alg.standard_frame(a)))
+    out = []
+    for frame in (alg.standard_frame(a), rotated):
+        out += all_algorithms(a, frame)
+        out += [ma.k_extended(ma.w2(frame), rot), ma.piecewise_det(frame)]
+    return out
+
+
+@pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1)], ids=lambda a: a.name)
+def test_apply_batch_and_solve_batch_are_inverse(a, rng):
+    n = 12
+    x = np.array([alg.random_cone_element(a, rng, 0.05, 3.0).coords for _ in range(n)])
+    y = rng.standard_normal((n, a.dim))
+    e = np.tile(alg.identity(a).coords, (n, 1))
+    for w in batch_algorithms(a):
+        assert_allclose(w.apply_batch(x, w.solve_batch(x, y)), y, atol=1e-10, err_msg=w.spec)
+        assert_allclose(w.solve_batch(x, w.apply_batch(x, y)), y, atol=1e-10, err_msg=w.spec)
+        assert_allclose(w.apply_batch(x, e), x, atol=1e-10, err_msg=w.spec)
+        assert_allclose(w.solve_batch(x, x), e, atol=1e-10, err_msg=w.spec)
+        for i in (0, n - 1):
+            xi, yi = alg.Element(a, x[i]), alg.Element(a, y[i])
+            assert_allclose(w.apply_batch(x, y)[i], ma.multiply(w, xi, yi).coords, atol=1e-10)
+            assert_allclose(w.solve_batch(x, y)[i], ma.divide(w, xi, yi).coords, atol=1e-10)
+
+
+def test_batch_maps_reject_points_outside_the_cone_and_bad_shapes(rng):
+    for a in (alg.sym_real(2), alg.herm_complex(2), alg.lorentz(3)):
+        good = np.array([alg.random_cone_element(a, rng).coords for _ in range(4)])
+        bad = good.copy()
+        bad[2] = -bad[2]
+        for w in batch_algorithms(a):
+            for method in (w.apply_batch, w.solve_batch):
+                with pytest.raises(DomainError):
+                    method(bad, good)
+                with pytest.raises(ValidationError):
+                    method(good, good[:3])
+                with pytest.raises(ValidationError):
+                    method(good[0], good[0])
+
+
+def test_piecewise_batch_with_one_branch_empty(rng):
+    a = alg.sym_real(2)
+    w = ma.piecewise_det(alg.standard_frame(a))
+    y = rng.standard_normal((3, a.dim))
+    for low, high in ((2.0, 4.0), (0.1, 0.5)):  # det > 1 on every row, then on none
+        x = np.array([alg.random_cone_element(a, rng, low, high).coords for _ in range(3)])
+        want = [ma.divide(w, alg.Element(a, xi), alg.Element(a, yi)).coords for xi, yi in zip(x, y)]
+        assert_allclose(w.solve_batch(x, y), want, atol=1e-12)

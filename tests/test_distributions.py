@@ -9,6 +9,8 @@ from conelab import _stats
 from conelab import algebra as alg
 from conelab import algorithms as ma
 from conelab import distributions as dist
+from conelab import peirce
+from conelab import triangular as tri
 from conelab.peirce import PowerExponent
 from conelab.errors import DomainError, ValidationError
 
@@ -256,3 +258,69 @@ def test_density_model_sampling_and_logpdf(rng):
     assert len(draws) == 50
     # the scale sign convention: lam = -a
     assert_allclose(model.lam.coords, -scale.coords)
+
+
+def per_draw_riesz_reference(params, n, rng):
+    """The frame-generic sampler drawn and assembled one draw at a time."""
+    a = params.algebra
+    frame = params.frame
+    basis = peirce.build_peirce_basis(frame)
+    shapes = dist.gamma_shapes(params.s, a)
+    z_rows = [
+        np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, a.rank)])
+        for j in range(a.rank - 1)
+    ]
+    scale = None
+    if np.max(np.abs(params.a.coords - alg.identity(a).coords)) >= 1e-14:
+        scale = tri.as_endomorphism(tri.triangular_decompose(alg.inverse(params.a), frame))
+
+    def frobenius(c, z, y):
+        def n_apply(v):
+            zc = alg.jordan_product(z, c)
+            return 2.0 * (
+                alg.jordan_product(zc, v)
+                + alg.jordan_product(z, alg.jordan_product(c, v))
+                - alg.jordan_product(c, alg.jordan_product(z, v))
+            )
+
+        ny = n_apply(y)
+        return y + ny + 0.5 * n_apply(ny)
+
+    out = []
+    for _ in range(n):
+        alphas = rng.gamma(shape=shapes)
+        zs = []
+        for j in range(a.rank - 1):
+            xi = rng.standard_normal(z_rows[j].shape[0]) / np.sqrt(alphas[j])
+            zs.append(alg.Element(a, xi @ z_rows[j]))
+        y = alg.Element(a, np.sum([al * c.coords for al, c in zip(alphas, frame)], axis=0))
+        for j in range(a.rank - 2, -1, -1):
+            y = frobenius(frame[j], zs[j], y)
+        if scale is not None:
+            y = scale.apply(y)
+        out.append(y)
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, rotate",
+    [(alg.herm_complex(3), False), (alg.lorentz(4), False), (alg.sym_real(2), True)],
+    ids=["herm_complex(3)", "lorentz(4)", "sym_real(2)-rotated"],
+)
+def test_batched_sampler_matches_per_draw_reference(a, rotate):
+    frame = alg.standard_frame(a)
+    if rotate:
+        rot = alg.random_automorphism_k(a, np.random.default_rng(42))
+        frame = alg.JordanFrame(tuple(rot.apply(c) for c in frame))
+    shifts = 0.5 * a.peirce_d * np.arange(a.rank) + a.dim / a.rank
+    scales = (alg.identity(a), alg.random_cone_element(a, np.random.default_rng(3), 0.8, 1.6))
+    for scale in scales:
+        params = dist.RieszParams(PowerExponent.of(shifts + 0.8), scale, frame)
+        rng_batch, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        draws = dist.sample_riesz(params, 200, rng_batch)
+        want = per_draw_riesz_reference(params, 200, rng_ref)
+        assert all(isinstance(d, alg.Element) for d in draws)
+        assert_allclose(
+            np.array([d.coords for d in draws]), np.array([d.coords for d in want]), rtol=0, atol=1e-12
+        )
+        assert rng_batch.bit_generator.state == rng_ref.bit_generator.state

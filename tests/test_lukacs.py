@@ -171,18 +171,30 @@ def test_factorization_mismatch_detected(rng):
     assert lk.factorization_residual(mx, my_bad, w, pairs, strict=False) > 0.01
 
 
+def rotated_frame(a, seed=42):
+    rot = alg.random_automorphism_k(a, np.random.default_rng(seed))
+    return alg.JordanFrame(tuple(rot.apply(c) for c in alg.standard_frame(a)))
+
+
 def test_batch_quotient_matches_elementwise(rng):
-    for a in [alg.sym_real(2), alg.herm_complex(2), alg.lorentz(4)]:
-        frame = alg.standard_frame(a)
-        algorithms = [ma.w1(a), ma.w2(frame)]
-        x = np.array([alg.random_cone_element(a, rng).coords for _ in range(20)])
-        y = np.array([alg.random_cone_element(a, rng).coords for _ in range(20)])
-        for w in algorithms:
-            u, v = lk.batch_quotient(w, x, y)
-            for i in (0, 7, 19):
-                pair = lk.quotient_map(alg.Element(a, x[i]), alg.Element(a, y[i]), w)
-                assert_allclose(u[i], pair.u.coords, atol=1e-11)
-                assert_allclose(v[i], pair.v.coords, atol=1e-12)
+    for a in [alg.sym_real(2), alg.sym_real(3), alg.herm_complex(2), alg.herm_complex(3), alg.lorentz(4)]:
+        for frame in (alg.standard_frame(a), rotated_frame(a)):
+            algorithms = [
+                ma.parse_algorithm(spec, a, frame)
+                for spec in ("w1", "w2", "interp:0.25", "kext:w2:17")
+            ] + [ma.piecewise_det(frame)]
+            # spectra in [0.05, 2] put det(x + y) on both sides of 1, so the
+            # piecewise algorithm takes both of its branches
+            x = np.array([alg.random_cone_element(a, rng, 0.05, 2.0).coords for _ in range(20)])
+            y = np.array([alg.random_cone_element(a, rng, 0.05, 2.0).coords for _ in range(20)])
+            dets = [alg.determinant(alg.Element(a, row)) for row in x + y]
+            assert min(dets) < 1.0 < max(dets)
+            for w in algorithms:
+                u, v = lk.batch_quotient(w, x, y)
+                for i in range(len(x)):
+                    pair = lk.quotient_map(alg.Element(a, x[i]), alg.Element(a, y[i]), w)
+                    assert_allclose(u[i], pair.u.coords, atol=1e-11, err_msg=f"{a.name} {w.spec}")
+                    assert_allclose(v[i], pair.v.coords, atol=1e-12)
 
 
 def test_independence_report_contract(rng):

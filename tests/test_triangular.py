@@ -203,3 +203,42 @@ def test_ddet_of_triangular_element(a, rng):
         dd = tri.as_endomorphism(t).ddet()
         want = alg.determinant(x) ** (a.dim / a.rank)
         assert abs(dd - want) <= 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
+def test_batch_decompose_matches_scalar(a, rng):
+    rot = alg.random_automorphism_k(a, rng)
+    for frame in (alg.standard_frame(a), alg.JordanFrame(tuple(rot.apply(c) for c in alg.standard_frame(a)))):
+        xs = [alg.random_cone_element(a, rng, 0.1, 10.0) for _ in range(6)]
+        batch = tri.batch_triangular_decompose(np.array([x.coords for x in xs]), frame)
+        for i, x in enumerate(xs):
+            t = tri.triangular_decompose(x, frame)
+            assert_allclose(batch.diagonal[i], t.diagonal, rtol=1e-12)
+            for z_batch, z in zip(batch.frobenius_params, t.frobenius_params):
+                assert_allclose(z_batch[i], z.coords, atol=1e-12)
+        e = np.tile(alg.identity(a).coords, (len(xs), 1))
+        assert_allclose(batch.apply(e), [x.coords for x in xs], atol=1e-11)
+        assert_allclose(batch.solve(np.array([x.coords for x in xs])), e, atol=1e-12)
+
+
+def test_batch_frobenius_matches_frobenius_transform(rng):
+    a = alg.herm_complex(3)
+    frame = alg.standard_frame(a)
+    basis = peirce.build_peirce_basis(frame)
+    for j in range(a.rank - 1):
+        zs = [half_space_sample(a, frame, basis, j, rng) for _ in range(4)]
+        ys = rng.standard_normal((4, a.dim))
+        got = tri.batch_frobenius(frame, j, np.array([z.coords for z in zs]), ys)
+        want = [tri.frobenius_transform(frame[j], z).matrix @ y for z, y in zip(zs, ys)]
+        assert_allclose(got, want, atol=1e-12)
+
+
+def test_frame_only_projectors_are_built_once():
+    a = alg.sym_real(3)
+    frame = alg.JordanFrame(alg.standard_frame(a).elements)
+    for j in range(a.rank - 1):
+        assert peirce.half_projector(frame, j) is peirce.half_projector(frame, j)
+        assert tri.strict_upper_projector(frame, j) is tri.strict_upper_projector(frame, j)
+        half = peirce.peirce_projectors(frame[j])[0.5].matrix
+        assert_allclose(peirce.half_projector(frame, j).matrix, half, atol=0)
+    assert frame.leading_projector(2) is frame.leading_projector(2)
