@@ -31,8 +31,8 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     axiom_residuals,
+    batch_eigenvalues,
     determinant,
-    eigenvalues,
     herm_complex,
     identity,
     inner,
@@ -53,6 +53,7 @@ from .distributions import (
     RieszParams,
     WishartParams,
     in_domain_D,
+    read_coords_csv,
     riesz_logpdf,
     riesz_model,
     riesz_normalization_quadrature,
@@ -60,6 +61,7 @@ from .distributions import (
     save_samples_csv,
     wishart_logpdf,
     wishart_model,
+    write_coords_csv,
 )
 from .errors import (
     ConelabError,
@@ -373,9 +375,7 @@ def suite_distributions(algebra, algorithm, rng, n, tol):
     sigmas = float(np.max(np.abs(mean - target) / np.maximum(se, 1e-30)))
     checks["wishart_mean"] = _check(sigmas, tol["mean_sigmas"])
 
-    lam_min = 0.0
-    for d in draws[:200]:
-        lam_min = min(lam_min, float(eigenvalues(d).min()))
+    lam_min = float(batch_eigenvalues(algebra, coords[:200]).min())
     checks["draws_in_cone"] = _check(max(0.0, -lam_min), 0.0)
 
     if algebra.kind == "sym_real" and algebra.rank == 2:
@@ -631,31 +631,15 @@ def _tabulated(rows, role, algebra):
 
 
 def _oracle_csv_rows(path, algebra):
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as handle:
-        reader = _csv.reader(handle)
-        header = next(reader)
-        expected = 2 + algebra.dim
-        if len(header) != expected:
-            raise ConfigError(
-                f"oracle CSV must have columns role,c0..c{algebra.dim - 1},value"
-            )
-        for row in reader:
-            coords = np.array([float(v) for v in row[1:-1]])
-            rows.append((row[0], coords, float(row[-1])))
-    return rows
-
-
-def _write_oracle_csv(path, records, algebra):
-    import csv as _csv
-
-    with open(path, "w", newline="") as handle:
-        writer = _csv.writer(handle)
-        writer.writerow(["role"] + [f"c{i}" for i in range(algebra.dim)] + ["value"])
-        for role, coords, value in records:
-            writer.writerow([role] + [repr(float(v)) for v in coords] + [repr(value)])
+    try:
+        header, rows = read_coords_csv(path)
+    except ValidationError as exc:
+        raise ConfigError(f"oracle CSV: {exc}") from None
+    if len(header) != 2 + algebra.dim:
+        raise ConfigError(
+            f"oracle CSV must have columns role,c0..c{algebra.dim - 1},value"
+        )
+    return [(role, values[:-1], float(values[-1])) for role, values in rows]
 
 
 def cmd_decompose(cfg: dict, out_dir: Path) -> int:
@@ -710,7 +694,10 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
         d = _recording(d, records, "d")
     dec = olkin_baker_decompose(a, b, c, d, algorithm, grid)
     if dump_path:
-        _write_oracle_csv(dump_path, records, algebra)
+        header = ["role"] + [f"c{i}" for i in range(algebra.dim)] + ["value"]
+        write_coords_csv(
+            dump_path, header, ((role, [*coords, value]) for role, coords, value in records)
+        )
     payload = dec.as_dict()
     payload["algorithm"] = algorithm.spec
     payload["planted"] = {

@@ -6,9 +6,12 @@ The Riesz density with exponent vector s and scale a in the cone is
 
 with respect to the trace-form Lebesgue measure; Wishart is the constant-s
 case, where the normalizer reduces to (det a)^p / Gamma_V(p).  The sampler
-uses the triangular-group construction: gamma-distributed diagonal entries,
-conditionally Gaussian Frobenius parameters, then the group element sending
-e to a^{-1} adjusts the scale.
+uses the triangular-group construction, one batched path for every kind and
+frame: an (n, r) array of gamma-distributed diagonal entries, an
+(n, dim - r) array of Gaussian Frobenius coordinates in the Peirce basis of
+the frame, the Frobenius chain on the whole batch, then the group element
+sending e to a^{-1} adjusts the scale.  Sample batches and the tabulated
+oracles of ``conelab decompose`` share one CSV writer and reader.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .algebra import (
     identity,
     inner,
     inverse,
-    mats_to_coords,
     parse_algebra,
     random_element,
     require_in_cone,
@@ -200,52 +202,32 @@ def _scale_endomorphism(params: RieszParams):
     return as_endomorphism(triangular_decompose(inverse(params.a), params.frame))
 
 
-def _sample_riesz_sym_real_standard(params: RieszParams, n: int, rng: np.random.Generator):
-    """Vectorized lower-triangular construction for sym_real with the standard frame."""
-    algebra = params.algebra
-    r = algebra.rank
-    shapes = gamma_shapes(params.s, algebra)
-    diag = np.sqrt(rng.gamma(shape=shapes, size=(n, r)))
-    t = np.zeros((n, r, r))
-    idx = np.arange(r)
-    t[:, idx, idx] = diag
-    lower = np.tril_indices(r, k=-1)
-    t[:, lower[0], lower[1]] = rng.standard_normal((n, len(lower[0]))) * np.sqrt(0.5)
-    scale = _scale_endomorphism(params)
-    if scale is not None:
-        t0 = np.linalg.cholesky(inverse(params.a).to_matrix())
-        t = t0 @ t
-    mats = t @ np.transpose(t, (0, 2, 1))
-    coords = mats_to_coords(algebra, mats)
-    return [Element(algebra, row) for row in coords]
-
-
 def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator):
     """n independent draws, deterministic under the generator state.
 
-    Each draw takes its gamma diagonal and then its Gaussian Frobenius
-    parameters from ``rng``, draw by draw; the group elements are then
-    applied to the whole batch at once.
+    The variates come from two calls on ``rng``.  ``rng.gamma`` fills an
+    (n, r) array of diagonal entries alpha; then ``rng.standard_normal``
+    fills an (n, dim - r) array whose columns are the coordinates of
+    z_1, ..., z_(r-1) in the orthonormal bases of the subspaces E_jk,
+    k > j, in :func:`build_peirce_basis` order (j major, then k).  Block j
+    is scaled by alpha_j^(-1/2), and the Frobenius chain
+    tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) sum_k alpha_k c_k and then
+    the scale map act on the whole batch.
     """
     algebra = params.algebra
-    if algebra.kind == SYM_REAL and params.frame.elements == standard_frame(algebra).elements:
-        return _sample_riesz_sym_real_standard(params, n, rng)
     r = algebra.rank
     frame = params.frame
     basis = build_peirce_basis(frame)
-    shapes = gamma_shapes(params.s, algebra)
+    alphas = rng.gamma(shape=gamma_shapes(params.s, algebra), size=(n, r))
+    normals = rng.standard_normal((n, algebra.dim - r))
     z_rows = [
         np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)]) for j in range(r - 1)
     ]
-    alphas = np.empty((n, r))
-    xis = [np.empty((n, rows.shape[0])) for rows in z_rows]
-    for i in range(n):
-        alphas[i] = rng.gamma(shape=shapes)
-        for j in range(r - 1):
-            xis[j][i] = rng.standard_normal(z_rows[j].shape[0]) / np.sqrt(alphas[i, j])
+    blocks = np.split(normals, np.cumsum([len(rows) for rows in z_rows])[:-1], axis=1)
     y = alphas @ np.array([c.coords for c in frame])
     for j in range(r - 2, -1, -1):
-        y = batch_frobenius(frame, j, xis[j] @ z_rows[j], y)
+        z = (blocks[j] / np.sqrt(alphas[:, j, None])) @ z_rows[j]
+        y = batch_frobenius(frame, j, z, y)
     scale = _scale_endomorphism(params)
     if scale is not None:
         y = scale.apply_batch(y)
@@ -395,8 +377,41 @@ def riesz_normalization_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence of sample batches
+# CSV persistence of coordinate rows
 # ---------------------------------------------------------------------------
+
+
+def write_coords_csv(path, header, rows) -> None:
+    """A header row, then one row per (label, numbers) pair; numbers are written with repr."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for label, values in rows:
+            writer.writerow([label] + [repr(float(v)) for v in values])
+
+
+def read_coords_csv(path):
+    """(header, rows) of a file in the layout of :func:`write_coords_csv`.
+
+    Each row is (label, float array of the remaining cells).  A row whose
+    cell count differs from the header's, blank rows included, or with a
+    non-numeric cell raises ValidationError naming its line.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path} line {reader.line_num}: {len(row)} cells, header has {len(header)}"
+                )
+            try:
+                values = np.array([float(v) for v in row[1:]])
+            except ValueError:
+                raise ValidationError(f"{path} line {reader.line_num}: non-numeric cell") from None
+            rows.append((row[0], values))
+    return header, rows
 
 
 def save_samples_csv(path, samples) -> None:
@@ -404,23 +419,14 @@ def save_samples_csv(path, samples) -> None:
     if not samples:
         raise ValidationError("refusing to write an empty sample batch")
     algebra = samples[0].algebra
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"algebra={algebra.name}"] + [f"c{i}" for i in range(algebra.dim)])
-        for x in samples:
-            writer.writerow([""] + [repr(float(v)) for v in x.coords])
+    header = [f"algebra={algebra.name}"] + [f"c{i}" for i in range(algebra.dim)]
+    write_coords_csv(path, header, (("", x.coords) for x in samples))
 
 
 def load_samples_csv(path):
     """Inverse of :func:`save_samples_csv`."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if not header or not header[0].startswith("algebra="):
-            raise ValidationError("missing algebra descriptor in CSV header")
-        algebra = parse_algebra(header[0].split("=", 1)[1])
-        samples = []
-        for row in reader:
-            coords = np.array([float(v) for v in row[1:]])
-            samples.append(Element(algebra, coords))
-    return samples
+    header, rows = read_coords_csv(path)
+    if not header or not header[0].startswith("algebra="):
+        raise ValidationError("missing algebra descriptor in CSV header")
+    algebra = parse_algebra(header[0].split("=", 1)[1])
+    return [Element(algebra, coords) for _, coords in rows]

@@ -4,8 +4,11 @@ import logging
 import sys
 
 import numpy as np
+import pytest
 
+from conelab import algebra as alg
 from conelab import cli
+from conelab.errors import ConfigError
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -206,6 +209,25 @@ def test_decompose_additivity_violation_fails(tmp_path):
         oracle={"family": "csv", "path": str(bad_csv), "grid": {"n_points": 200, "seed": 7}},
     )
     assert cli.main(["decompose", str(cfg_bad), "--out", str(tmp_path / "bad_out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["", "a,0.5,0.1,x,1.0", "a,0.5,0.1,1.0"],
+    ids=["blank-row", "non-numeric-cell", "short-row"],
+)
+def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
+    oracle_csv = tmp_path / "oracle.csv"
+    oracle_csv.write_text(f"role,c0,c1,c2,value\r\na,0.5,0.1,0.7,1.0\r\n{bad_row}\r\n")
+    cfg = write_config(
+        tmp_path,
+        name="bad_rows.json",
+        oracle={"family": "csv", "path": str(oracle_csv), "grid": {"n_points": 200, "seed": 7}},
+    )
+    assert cli.main(["decompose", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "oracle CSV" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        cli._oracle_csv_rows(oracle_csv, alg.sym_real(2))
 
 
 def test_decompose_requires_oracle(tmp_path):

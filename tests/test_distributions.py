@@ -77,7 +77,7 @@ def test_sampler_determinism():
     d2 = dist.sample_riesz(rp, 5, np.random.default_rng(0))
     for x, y in zip(d1, d2):
         assert_allclose(x.coords, y.coords)
-    # general path too
+    # another kind too
     b = alg.lorentz(3)
     rpb = dist.WishartParams(2.5, alg.identity(b)).as_riesz()
     g1 = dist.sample_riesz(rpb, 5, np.random.default_rng(0))
@@ -92,7 +92,7 @@ def test_draws_lie_in_cone(rng):
         rp = dist.WishartParams(a.dim / a.rank + 0.6, scale).as_riesz()
         for x in dist.sample_riesz(rp, 200, rng):
             assert alg.eigenvalues(x).min() > 0
-    # bulk check at 1e4 draws on the vectorized path
+    # bulk check at 1e4 draws
     a = alg.sym_real(2)
     rp = dist.WishartParams(2.2, alg.identity(a)).as_riesz()
     draws = dist.sample_riesz(rp, 10_000, rng)
@@ -125,24 +125,24 @@ def test_wishart_sampler_mean(a, rng):
 
 
 def test_fast_and_general_paths_agree_in_distribution():
-    # same law through the vectorized lower-triangular path and the
-    # frame-generic path (rotated frame mapped back by the rotation)
+    # the standard frame and a rotated frame give the same law once the
+    # rotated draws are mapped back by the rotation
     a = alg.sym_real(2)
     scale = alg.identity(a)
     s = PowerExponent.of((2.6, 1.4))
-    fast = dist.sample_riesz(
+    standard = dist.sample_riesz(
         dist.RieszParams(s, scale, alg.standard_frame(a)), 20000, np.random.default_rng(0)
     )
     rot = alg.random_automorphism_k(a, np.random.default_rng(42))
     frame_rot = alg.JordanFrame(tuple(rot.apply(c) for c in alg.standard_frame(a)))
-    slow_rot = dist.sample_riesz(
+    rotated = dist.sample_riesz(
         dist.RieszParams(s, scale, frame_rot), 20000, np.random.default_rng(1)
     )
     inv = rot.adjoint()  # rotations are orthogonal, adjoint = inverse
-    slow = np.array([inv.apply(x).coords for x in slow_rot])
-    fast_coords = np.array([x.coords for x in fast])
+    rotated_back = np.array([inv.apply(x).coords for x in rotated])
+    standard_coords = np.array([x.coords for x in standard])
     stat, p, _ = _stats.energy_permutation_test(
-        fast_coords, slow, 199, np.random.default_rng(2), max_points=600
+        standard_coords, rotated_back, 199, np.random.default_rng(2), max_points=600
     )
     assert p > 0.01
 
@@ -261,11 +261,14 @@ def test_density_model_sampling_and_logpdf(rng):
 
 
 def per_draw_riesz_reference(params, n, rng):
-    """The frame-generic sampler drawn and assembled one draw at a time."""
+    """The sampler's Frobenius chain evaluated one draw at a time with scalar products.
+
+    Reads the same variate arrays as :func:`dist.sample_riesz`: an (n, r)
+    gamma array, then an (n, dim - r) normal array in Peirce-basis order.
+    """
     a = params.algebra
     frame = params.frame
     basis = peirce.build_peirce_basis(frame)
-    shapes = dist.gamma_shapes(params.s, a)
     z_rows = [
         np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, a.rank)])
         for j in range(a.rank - 1)
@@ -273,6 +276,8 @@ def per_draw_riesz_reference(params, n, rng):
     scale = None
     if np.max(np.abs(params.a.coords - alg.identity(a).coords)) >= 1e-14:
         scale = tri.as_endomorphism(tri.triangular_decompose(alg.inverse(params.a), frame))
+    gammas = rng.gamma(shape=dist.gamma_shapes(params.s, a), size=(n, a.rank))
+    normals = rng.standard_normal((n, a.dim - a.rank))
 
     def frobenius(c, z, y):
         def n_apply(v):
@@ -287,12 +292,14 @@ def per_draw_riesz_reference(params, n, rng):
         return y + ny + 0.5 * n_apply(ny)
 
     out = []
-    for _ in range(n):
-        alphas = rng.gamma(shape=shapes)
+    for alphas, xi in zip(gammas, normals):
         zs = []
+        start = 0
         for j in range(a.rank - 1):
-            xi = rng.standard_normal(z_rows[j].shape[0]) / np.sqrt(alphas[j])
-            zs.append(alg.Element(a, xi @ z_rows[j]))
+            width = z_rows[j].shape[0]
+            block = xi[start : start + width] / np.sqrt(alphas[j])
+            zs.append(alg.Element(a, block @ z_rows[j]))
+            start += width
         y = alg.Element(a, np.sum([al * c.coords for al, c in zip(alphas, frame)], axis=0))
         for j in range(a.rank - 2, -1, -1):
             y = frobenius(frame[j], zs[j], y)
@@ -302,20 +309,28 @@ def per_draw_riesz_reference(params, n, rng):
     return out
 
 
+def _riesz_test_params(a, frame):
+    shifts = 0.5 * a.peirce_d * np.arange(a.rank) + a.dim / a.rank
+    scales = (alg.identity(a), alg.random_cone_element(a, np.random.default_rng(3), 0.8, 1.6))
+    return [dist.RieszParams(PowerExponent.of(shifts + 0.8), scale, frame) for scale in scales]
+
+
 @pytest.mark.parametrize(
     "a, rotate",
-    [(alg.herm_complex(3), False), (alg.lorentz(4), False), (alg.sym_real(2), True)],
-    ids=["herm_complex(3)", "lorentz(4)", "sym_real(2)-rotated"],
+    [
+        (alg.herm_complex(3), False),
+        (alg.lorentz(4), False),
+        (alg.sym_real(2), True),
+        (alg.sym_real(2), False),
+    ],
+    ids=["herm_complex(3)", "lorentz(4)", "sym_real(2)-rotated", "sym_real(2)"],
 )
 def test_batched_sampler_matches_per_draw_reference(a, rotate):
     frame = alg.standard_frame(a)
     if rotate:
         rot = alg.random_automorphism_k(a, np.random.default_rng(42))
         frame = alg.JordanFrame(tuple(rot.apply(c) for c in frame))
-    shifts = 0.5 * a.peirce_d * np.arange(a.rank) + a.dim / a.rank
-    scales = (alg.identity(a), alg.random_cone_element(a, np.random.default_rng(3), 0.8, 1.6))
-    for scale in scales:
-        params = dist.RieszParams(PowerExponent.of(shifts + 0.8), scale, frame)
+    for params in _riesz_test_params(a, frame):
         rng_batch, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
         draws = dist.sample_riesz(params, 200, rng_batch)
         want = per_draw_riesz_reference(params, 200, rng_ref)
@@ -323,4 +338,37 @@ def test_batched_sampler_matches_per_draw_reference(a, rotate):
         assert_allclose(
             np.array([d.coords for d in draws]), np.array([d.coords for d in want]), rtol=0, atol=1e-12
         )
+        assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
+
+
+def lower_triangular_riesz_reference(params, n, rng):
+    """Riesz draws T T^t on sym_real with the standard frame, T lower triangular.
+
+    T has diagonal sqrt(gamma(s_j - (j-1)/2)) and N(0, 1/2) entries below
+    the diagonal; a scale a != e multiplies T on the left by the Cholesky
+    factor of a^{-1}.
+    """
+    a = params.algebra
+    r = a.rank
+    diag = np.sqrt(rng.gamma(shape=dist.gamma_shapes(params.s, a), size=(n, r)))
+    t = np.zeros((n, r, r))
+    idx = np.arange(r)
+    t[:, idx, idx] = diag
+    lower = np.tril_indices(r, k=-1)
+    t[:, lower[0], lower[1]] = rng.standard_normal((n, len(lower[0]))) * np.sqrt(0.5)
+    if np.max(np.abs(params.a.coords - alg.identity(a).coords)) >= 1e-14:
+        t = np.linalg.cholesky(alg.inverse(params.a).to_matrix()) @ t
+    return alg.mats_to_coords(a, t @ np.transpose(t, (0, 2, 1)))
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(2), alg.sym_real(3)], ids=lambda a: a.name)
+def test_sampler_matches_lower_triangular_reference(a):
+    # below rank 4 the lower-triangle order (1,0), (2,0), (2,1) is the
+    # Peirce order E_01, E_02, E_12, so both read the same variates
+    for params in _riesz_test_params(a, alg.standard_frame(a)):
+        rng_batch, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
+        got = np.array([d.coords for d in dist.sample_riesz(params, 500, rng_batch)])
+        want = lower_triangular_riesz_reference(params, 500, rng_ref)
+        rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= 1e-12
         assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
