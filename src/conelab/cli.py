@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +36,6 @@ from .algebra import (
     identity,
     inner,
     inverse,
-    jordan_product,
     lorentz,
     norm,
     parse_algebra,
@@ -60,6 +58,7 @@ from .distributions import (
     sample_riesz,
     save_samples_csv,
     wishart_logpdf,
+    wishart_mean_sigmas,
     wishart_model,
     write_coords_csv,
 )
@@ -89,19 +88,8 @@ from .lukacs import (
     jacobian_check,
     quotient_map,
 )
-from .peirce import (
-    PowerExponent,
-    build_peirce_basis,
-    generalized_power,
-    generalized_power_log,
-    peirce_projectors,
-)
-from .triangular import (
-    apply_triangular,
-    box_operator,
-    frobenius_transform,
-    triangular_decompose,
-)
+from .peirce import PowerExponent, generalized_power, peirce_identity_residuals, peirce_projectors
+from .triangular import triangular_identity_residuals
 
 logger = logging.getLogger("conelab")
 
@@ -164,11 +152,11 @@ def _algebra_from_config(value) -> AlgebraDescriptor:
     if isinstance(value, dict):
         kind = value.get("kind")
         if kind == "sym_real":
-            return sym_real(int(value["rank"]))
+            return sym_real(int(_number(value, "rank", "algebra")))
         if kind == "herm_complex":
-            return herm_complex(int(value["rank"]))
+            return herm_complex(int(_number(value, "rank", "algebra")))
         if kind == "lorentz":
-            return lorentz(int(value["n"]))
+            return lorentz(int(_number(value, "n", "algebra")))
         raise ConfigError(f"unknown algebra kind {kind!r}")
     raise ConfigError("algebra must be a string like 'sym_real(2)' or an object")
 
@@ -199,13 +187,28 @@ def write_report(path: Path, obj) -> None:
     path.write_text(canonical_json(obj))
 
 
-def _element_from_config(value, algebra: AlgebraDescriptor) -> Element:
+def _number(cfg: dict, key: str, where: str, default=None):
+    """cfg[key] (``default`` if given and the key is absent), a finite number or list of them."""
+    if key not in cfg and default is None:
+        raise ConfigError(f"{where} requires {key!r}")
+    value = cfg.get(key, default)
+    try:
+        finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}.{key} must be finite numbers, got {value!r}")
+    return value
+
+
+def _element_from_config(cfg: dict, key: str, default: str, algebra, where: str) -> Element:
+    """'e', 'minus_e' or a list of finite coordinates under cfg[key]."""
+    value = cfg.get(key, default)
     if value == "e":
         return identity(algebra)
     if value == "minus_e":
         return -1.0 * identity(algebra)
-    coords = np.asarray(value, dtype=float)
-    return Element(algebra, coords)
+    return Element(algebra, np.asarray(_number(cfg, key, where), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -249,46 +252,18 @@ def suite_algebra_axioms(algebra, algorithm, rng, n, tol):
 def suite_peirce(algebra, algorithm, rng, n, tol):
     checks = {}
     frame = standard_frame(algebra)
-    basis = build_peirce_basis(frame)
-    e = identity(algebra)
     projs = peirce_projectors(frame[0])
     x = random_element(algebra, rng)
     total = projs[0.0].apply(x) + projs[0.5].apply(x) + projs[1.0].apply(x)
     checks["projection_completeness"] = _check(norm(total - x) / norm(x), 1e-12)
-    sq_resid = 0.0
-    cross_resid = 0.0
-    table_resid = 0.0
-    r = algebra.rank
-    for _ in range(n):
-        if r < 2:
-            break
-        i, j = sorted(rng.choice(r, size=2, replace=False))
-        rows = basis.subspaces[(i, j)]
-        zx = Element(algebra, rng.standard_normal(rows.shape[0]) @ rows)
-        sq = jordan_product(zx, zx)
-        target = 0.5 * inner(zx, zx) * (frame[i] + frame[j])
-        sq_resid = max(sq_resid, norm(sq - target))
-        ks = [k for k in range(r) if k != i and k != j]
-        if ks:
-            k = int(rng.choice(ks))
-            jj, kk = sorted((j, k))
-            rows2 = basis.subspaces[(jj, kk)]
-            zy = Element(algebra, rng.standard_normal(rows2.shape[0]) @ rows2)
-            prod = jordan_product(zx, zy)
-            ii, kk2 = sorted((i, k))
-            outside = prod - basis.project(prod, ii, kk2)
-            table_resid = max(table_resid, norm(outside))
-            cross = inner(prod, prod) - inner(zx, zx) * inner(zy, zy) / 8.0
-            cross_resid = max(cross_resid, abs(cross))
-    checks["square_identity"] = _check(sq_resid, tol["peirce_identity"])
-    checks["cross_norm_identity"] = _check(cross_resid, tol["peirce_identity"])
-    checks["multiplication_table"] = _check(table_resid, tol["peirce_identity"])
+    for name, value in peirce_identity_residuals(frame, n, rng).items():
+        checks[name] = _check(value, tol["peirce_identity"])
     # generalized power: constant exponent equals a determinant power
     power_resid = 0.0
     for _ in range(min(n, 50)):
         v = random_cone_element(algebra, rng, 0.2, 5.0)
         p = rng.uniform(-2.0, 2.0)
-        lhs = generalized_power(v, PowerExponent.constant(p, r), frame)
+        lhs = generalized_power(v, PowerExponent.constant(p, algebra.rank), frame)
         rhs = determinant(v) ** p
         power_resid = max(power_resid, abs(lhs - rhs) / abs(rhs))
     checks["constant_power_det"] = _check(power_resid, 1e-10)
@@ -296,42 +271,13 @@ def suite_peirce(algebra, algorithm, rng, n, tol):
 
 
 def suite_triangular(algebra, algorithm, rng, n, tol):
-    checks = {}
-    frame = standard_frame(algebra)
-    e = identity(algebra)
-    roundtrip = 0.0
-    cocycle = 0.0
-    tau_unit = 0.0
-    nilpotency = 0.0
-    basis = build_peirce_basis(frame)
-    for _ in range(n):
-        x = random_cone_element(algebra, rng, 0.1, 10.0)
-        t = triangular_decompose(x, frame)
-        roundtrip = max(
-            roundtrip, norm(apply_triangular(t, e) - x) / norm(x)
-        )
-        s = rng.uniform(-1.5, 1.5, algebra.rank)
-        y = random_cone_element(algebra, rng, 0.2, 5.0)
-        lhs = generalized_power_log(apply_triangular(t, y), s, frame)
-        rhs = generalized_power_log(apply_triangular(t, e), s, frame) + generalized_power_log(y, s, frame)
-        cocycle = max(cocycle, abs(lhs - rhs))
-        if algebra.rank >= 2:
-            i = int(rng.integers(0, algebra.rank - 1))
-            rows = np.vstack(
-                [basis.subspaces[(i, k)] for k in range(i + 1, algebra.rank)]
-            )
-            z = Element(algebra, rng.standard_normal(rows.shape[0]) @ rows)
-            tau = frobenius_transform(frame[i], z)
-            tau_unit = max(
-                tau_unit, abs(generalized_power_log(tau.apply(e), s, frame))
-            )
-            nbox = 2.0 * box_operator(z, frame[i]).matrix
-            nilpotency = max(nilpotency, float(np.max(np.abs(nbox @ nbox @ nbox))))
-    checks["roundtrip"] = _check(roundtrip, tol["triangular_roundtrip"])
-    checks["power_cocycle"] = _check(cocycle, tol["power_cocycle"])
-    checks["frobenius_unit_power"] = _check(tau_unit, tol["power_cocycle"])
-    checks["box_nilpotency"] = _check(nilpotency, 1e-10)
-    return checks
+    residuals = triangular_identity_residuals(standard_frame(algebra), n, rng)
+    return {
+        "roundtrip": _check(residuals["roundtrip"], tol["triangular_roundtrip"]),
+        "power_cocycle": _check(residuals["power_cocycle"], tol["power_cocycle"]),
+        "frobenius_unit_power": _check(residuals["frobenius_unit_power"], tol["power_cocycle"]),
+        "box_nilpotency": _check(residuals["box_nilpotency"], 1e-10),
+    }
 
 
 def suite_mult_alg(algebra, algorithm, rng, n, tol):
@@ -369,11 +315,7 @@ def suite_distributions(algebra, algorithm, rng, n, tol):
 
     draws = sample_riesz(rp, n, rng)
     coords = np.array([d.coords for d in draws])
-    mean = coords.mean(axis=0)
-    se = coords.std(axis=0, ddof=1) / math.sqrt(len(coords))
-    target = p * inverse(a).coords
-    sigmas = float(np.max(np.abs(mean - target) / np.maximum(se, 1e-30)))
-    checks["wishart_mean"] = _check(sigmas, tol["mean_sigmas"])
+    checks["wishart_mean"] = _check(wishart_mean_sigmas(coords, p, a), tol["mean_sigmas"])
 
     lam_min = float(batch_eigenvalues(algebra, coords[:200]).min())
     checks["draws_in_cone"] = _check(max(0.0, -lam_min), 0.0)
@@ -611,7 +553,7 @@ def _recording(fn, records, role):
     return wrapped
 
 
-def _tabulated(rows, role, algebra):
+def _tabulated(rows, role):
     table = {}
     for r, coords, value in rows:
         if r == role:
@@ -635,6 +577,8 @@ def _oracle_csv_rows(path, algebra):
         header, rows = read_coords_csv(path)
     except ValidationError as exc:
         raise ConfigError(f"oracle CSV: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"oracle CSV: cannot read {path}: {exc.strerror}") from None
     if len(header) != 2 + algebra.dim:
         raise ConfigError(
             f"oracle CSV must have columns role,c0..c{algebra.dim - 1},value"
@@ -650,30 +594,32 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("decompose requires an 'oracle' object with a 'family'")
     grid_cfg = oracle_cfg.get("grid", {})
     grid = GridSpec(
-        n_points=int(grid_cfg.get("n_points", 2000)),
-        low=float(grid_cfg.get("low", 0.1)),
-        high=float(grid_cfg.get("high", 10.0)),
-        seed=int(grid_cfg.get("seed", cfg["seed"])),
-        tol=float(grid_cfg.get("tol", 1e-6)),
+        n_points=int(_number(grid_cfg, "n_points", "oracle.grid", 2000)),
+        low=float(_number(grid_cfg, "low", "oracle.grid", 0.1)),
+        high=float(_number(grid_cfg, "high", "oracle.grid", 10.0)),
+        seed=int(_number(grid_cfg, "seed", "oracle.grid", cfg["seed"])),
+        tol=float(_number(grid_cfg, "tol", "oracle.grid", 1e-6)),
     )
     family = oracle_cfg["family"]
     frame = algorithm.frame if algorithm.frame is not None else standard_frame(algebra)
     if family == "wishart-form":
-        lam = _element_from_config(oracle_cfg.get("lambda", "minus_e"), algebra)
-        kappa = oracle_cfg.get("kappa", [0.7, 1.3])
+        lam = _element_from_config(oracle_cfg, "lambda", "minus_e", algebra, "oracle")
+        kappa = _number(oracle_cfg, "kappa", "oracle", [0.7, 1.3])
         e_fn = log_det_power(float(kappa[0]), algebra)
         f_fn = log_det_power(float(kappa[1]), algebra)
     elif family == "riesz-form":
-        lam = _element_from_config(oracle_cfg.get("lambda", "minus_e"), algebra)
-        e_fn = delta_s_log(oracle_cfg["s1"], frame)
-        f_fn = delta_s_log(oracle_cfg["s2"], frame)
+        lam = _element_from_config(oracle_cfg, "lambda", "minus_e", algebra, "oracle")
+        e_fn = delta_s_log(_number(oracle_cfg, "s1", "oracle"), frame)
+        f_fn = delta_s_log(_number(oracle_cfg, "s2", "oracle"), frame)
     elif family == "zero":
         lam = Element(algebra, np.zeros(algebra.dim))
         e_fn = zero_fn(algebra)
         f_fn = zero_fn(algebra)
     elif family == "csv":
+        if "path" not in oracle_cfg:
+            raise ConfigError("the csv oracle family requires a 'path'")
         rows = _oracle_csv_rows(oracle_cfg["path"], algebra)
-        oracles = tuple(_tabulated(rows, role, algebra) for role in "abcd")
+        oracles = tuple(_tabulated(rows, role) for role in "abcd")
         dec = olkin_baker_decompose(*oracles, algorithm, grid)
         payload = dec.as_dict()
         payload["algorithm"] = algorithm.spec
@@ -682,16 +628,13 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
         return 0
     else:
         raise ConfigError(f"unknown oracle family {family!r}")
-    c1 = float(oracle_cfg.get("c1", 0.0))
-    c2 = float(oracle_cfg.get("c2", 0.0))
+    c1 = float(_number(oracle_cfg, "c1", "oracle", 0.0))
+    c2 = float(_number(oracle_cfg, "c2", "oracle", 0.0))
     a, b, c, d = make_olkin_baker_instance(lam, e_fn, f_fn, algorithm, c1=c1, c2=c2)
     records = []
     dump_path = cfg.get("dump_oracle")
     if dump_path:
-        a = _recording(a, records, "a")
-        b = _recording(b, records, "b")
-        c = _recording(c, records, "c")
-        d = _recording(d, records, "d")
+        a, b, c, d = (_recording(fn, records, role) for fn, role in zip((a, b, c, d), "abcd"))
     dec = olkin_baker_decompose(a, b, c, d, algorithm, grid)
     if dump_path:
         header = ["role"] + [f"c{i}" for i in range(algebra.dim)] + ["value"]
@@ -717,13 +660,13 @@ def cmd_sample(cfg: dict, out_dir: Path) -> int:
     dist = cfg.get("distribution")
     if not isinstance(dist, dict) or "type" not in dist:
         raise ConfigError("sample requires a 'distribution' object with a 'type'")
-    n = int(cfg.get("n", 1000))
+    n = int(_number(cfg, "n", "config", 1000))
     frame = standard_frame(algebra)
-    a = _element_from_config(dist.get("a", "e"), algebra)
+    a = _element_from_config(dist, "a", "e", algebra, "distribution")
     if dist["type"] == "wishart":
-        params = WishartParams(float(dist["p"]), a).as_riesz(frame)
+        params = WishartParams(float(_number(dist, "p", "distribution")), a).as_riesz(frame)
     elif dist["type"] == "riesz":
-        params = RieszParams(PowerExponent.of(dist["s"]), a, frame)
+        params = RieszParams(PowerExponent.of(_number(dist, "s", "distribution")), a, frame)
     else:
         raise ConfigError(f"unknown distribution type {dist['type']!r}")
     rng = _sub_rng(cfg["seed"], "sample")

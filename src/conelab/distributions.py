@@ -17,6 +17,7 @@ oracles of ``conelab decompose`` share one CSV writer and reader.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -238,6 +239,17 @@ def sample_wishart(params: WishartParams, n: int, rng: np.random.Generator, fram
     return sample_riesz(params.as_riesz(frame), n, rng)
 
 
+def wishart_mean_sigmas(coords: np.ndarray, p: float, a: Element) -> float:
+    """Largest distance, in standard errors, of the sample mean from the Wishart mean p a^{-1}.
+
+    ``coords`` holds one draw per row; standard errors are floored at 1e-30.
+    """
+    mean = coords.mean(axis=0)
+    se = coords.std(axis=0, ddof=1) / math.sqrt(len(coords))
+    target = p * inverse(a).coords
+    return float(np.max(np.abs(mean - target) / np.maximum(se, 1e-30)))
+
+
 # ---------------------------------------------------------------------------
 # factorized density models for the independence harness
 # ---------------------------------------------------------------------------
@@ -395,7 +407,7 @@ def read_coords_csv(path):
 
     Each row is (label, float array of the remaining cells).  A row whose
     cell count differs from the header's, blank rows included, or with a
-    non-numeric cell raises ValidationError naming its line.
+    non-numeric or non-finite cell raises ValidationError naming its line.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -410,6 +422,8 @@ def read_coords_csv(path):
                 values = np.array([float(v) for v in row[1:]])
             except ValueError:
                 raise ValidationError(f"{path} line {reader.line_num}: non-numeric cell") from None
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{path} line {reader.line_num}: non-finite cell")
             rows.append((row[0], values))
     return header, rows
 

@@ -117,6 +117,11 @@ class PeirceBasis:
     def project(self, x: Element, i: int, j: int) -> Element:
         return Element(x.algebra, self.projector_matrix(i, j) @ x.coords)
 
+    def gaussian(self, i: int, j: int, rng: np.random.Generator) -> Element:
+        """Element of E_ij with standard Gaussian coordinates in its orthonormal basis."""
+        rows = self.subspaces[(min(i, j), max(i, j))]
+        return Element(self.frame.algebra, rng.standard_normal(rows.shape[0]) @ rows)
+
 
 def _gram_schmidt_rows(candidates: np.ndarray, scale: float, expect: int) -> np.ndarray:
     """Orthonormalize candidate coordinate rows (trace form) in deterministic order."""
@@ -163,6 +168,20 @@ def build_peirce_basis(frame) -> PeirceBasis:
     return PeirceBasis(frame, subspaces)
 
 
+def _pair_identities(x: Element, y, i: int, j: int, frame: JordanFrame):
+    """(x^2, xy, residual of x^2 = |x|^2 (c_i + c_j)/2, residual of |xy|^2 = |x|^2 |y|^2 / 8).
+
+    x lies in E_ij and y in E_jk with k != i, or y is None and so are the entries it feeds.
+    """
+    x_sq = jordan_product(x, x)
+    nx = inner(x, x)
+    square = norm(x_sq - 0.5 * nx * (frame[i] + frame[j]))
+    if y is None:
+        return x_sq, None, square, None
+    xy = jordan_product(x, y)
+    return x_sq, xy, square, abs(inner(xy, xy) - nx * inner(y, y) / 8.0)
+
+
 def peirce_norm_identities(
     x: Element,
     y: Element,
@@ -186,17 +205,37 @@ def peirce_norm_identities(
         drift = norm(orig - proj)
         if drift > tol * max(1.0, norm(orig)):
             raise ValidationError(f"{label} is not in its stated Peirce subspace")
-    x_sq = jordan_product(px, px)
-    xy = jordan_product(px, py)
-    xy_norm_sq = inner(xy, xy)
+    x_sq, xy, square, cross = _pair_identities(px, py, i, j, basis.frame)
     nx = inner(px, px)
-    ny = inner(py, py)
-    target = 0.5 * nx * (basis.frame[i] + basis.frame[j])
-    if norm(x_sq - target) > tol * max(1.0, nx):
+    if square > tol * max(1.0, nx):
         raise ValidationError("square identity x^2 = |x|^2 (c_i + c_j)/2 violated")
-    if abs(xy_norm_sq - nx * ny / 8.0) > tol * max(1.0, nx * ny):
+    if cross > tol * max(1.0, nx * inner(py, py)):
         raise ValidationError("cross-norm identity |xy|^2 = |x|^2 |y|^2 / 8 violated")
-    return x_sq, xy_norm_sq
+    return x_sq, inner(xy, xy)
+
+
+def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
+    """Largest residuals of the Peirce identities over n random samples.
+
+    A sample is x in E_ij and, when some k differs from i and j, y in E_jk.
+    Keys: ``square_identity`` and ``cross_norm_identity`` (see
+    :func:`peirce_norm_identities`), and ``multiplication_table``, |xy - P_ik xy|.
+    """
+    basis = build_peirce_basis(frame)
+    r = basis.frame.algebra.rank
+    found = {key: [0.0] for key in ("square_identity", "cross_norm_identity", "multiplication_table")}
+    for _ in range(n if r >= 2 else 0):
+        i, j = sorted(rng.choice(r, size=2, replace=False))
+        x = basis.gaussian(i, j, rng)
+        ks = [k for k in range(r) if k != i and k != j]
+        k = int(rng.choice(ks)) if ks else None
+        y = None if k is None else basis.gaussian(j, k, rng)
+        _, xy, square, cross = _pair_identities(x, y, i, j, basis.frame)
+        found["square_identity"].append(square)
+        if y is not None:
+            found["cross_norm_identity"].append(cross)
+            found["multiplication_table"].append(norm(xy - basis.project(xy, i, k)))
+    return {key: float(np.max(values)) for key, values in found.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,13 @@ from .algebra import (
     inner,
     jordan_product,
     lmap,
+    norm,
     quad_rep,
+    random_cone_element,
     zero,
 )
 from .errors import DomainError, ValidationError
-from .peirce import half_projector, peirce_projectors
+from .peirce import build_peirce_basis, generalized_power_log, half_projector, peirce_projectors
 
 
 def box_operator(x: Element, y: Element) -> Endomorphism:
@@ -164,6 +166,41 @@ def compose_triangular(t: TriangularElement, u: TriangularElement) -> Triangular
     combined = as_endomorphism(t) @ as_endomorphism(u)
     image = combined.apply(identity(t.algebra))
     return triangular_decompose(image, t.frame)
+
+
+def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
+    """Largest residuals of the triangular-group identities over n random samples.
+
+    Keys: ``roundtrip`` |t_x e - x| / |x|; ``power_cocycle``, the defect of
+    log Delta_s(t_x y) = log Delta_s(t_x e) + log Delta_s(y); from rank 2 on,
+    ``frobenius_unit_power`` |log Delta_s(tau_{c_i}(z) e)| and
+    ``box_nilpotency`` max |N^3| for N = 2 z box c_i, z in the span of E_ik, k > i.
+    """
+    basis = build_peirce_basis(frame)
+    frame = basis.frame
+    algebra, r = frame.algebra, len(frame)
+    e = identity(algebra)
+    found = {key: [0.0] for key in ("roundtrip", "power_cocycle", "frobenius_unit_power", "box_nilpotency")}
+    for _ in range(n):
+        x = random_cone_element(algebra, rng, 0.1, 10.0)
+        t = triangular_decompose(x, frame)
+        te = apply_triangular(t, e)
+        found["roundtrip"].append(norm(te - x) / norm(x))
+        s = rng.uniform(-1.5, 1.5, r)
+        y = random_cone_element(algebra, rng, 0.2, 5.0)
+        lhs = generalized_power_log(apply_triangular(t, y), s, frame)
+        rhs = generalized_power_log(te, s, frame) + generalized_power_log(y, s, frame)
+        found["power_cocycle"].append(abs(lhs - rhs))
+        if r < 2:
+            continue
+        i = int(rng.integers(0, r - 1))
+        rows = np.vstack([basis.subspaces[(i, k)] for k in range(i + 1, r)])
+        z = Element(algebra, rng.standard_normal(rows.shape[0]) @ rows)
+        unit = generalized_power_log(frobenius_transform(frame[i], z).apply(e), s, frame)
+        found["frobenius_unit_power"].append(abs(unit))
+        nbox = 2.0 * box_operator(z, frame[i]).matrix
+        found["box_nilpotency"].append(np.max(np.abs(nbox @ nbox @ nbox)))
+    return {key: float(np.max(values)) for key, values in found.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ lines; each test also asserts its thresholds so the suite fails loudly.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -71,30 +70,14 @@ def test_criterion_02_dimension_and_peirce_identities():
         a.dim == a.rank + a.peirce_d * a.rank * (a.rank - 1) // 2 for a in every
     )
     rng = np.random.default_rng(202)
-    sq_worst = 0.0
-    cross_worst = 0.0
-    samples = 0
     per_algebra = 1000 // len(CORE_ALGEBRAS) + 1
-    for a in CORE_ALGEBRAS:
-        frame = alg.standard_frame(a)
-        basis = peirce.build_peirce_basis(frame)
-        for _ in range(per_algebra):
-            i, j = sorted(rng.choice(a.rank, size=2, replace=False))
-            x = alg.Element(a, rng.standard_normal(a.peirce_d) @ basis.subspaces[(i, j)])
-            sq = alg.jordan_product(x, x)
-            target = 0.5 * alg.inner(x, x) * (frame[i] + frame[j])
-            sq_worst = max(sq_worst, alg.norm(sq - target))
-            ks = [k for k in range(a.rank) if k not in (i, j)]
-            if ks:
-                k = int(rng.choice(ks))
-                jj, kk = sorted((j, k))
-                y = alg.Element(
-                    a, rng.standard_normal(a.peirce_d) @ basis.subspaces[(jj, kk)]
-                )
-                xy = alg.jordan_product(x, y)
-                cross = alg.inner(xy, xy) - alg.inner(x, x) * alg.inner(y, y) / 8.0
-                cross_worst = max(cross_worst, abs(cross))
-            samples += 1
+    residuals = [
+        peirce.peirce_identity_residuals(alg.standard_frame(a), per_algebra, rng)
+        for a in CORE_ALGEBRAS
+    ]
+    sq_worst = max(r["square_identity"] for r in residuals)
+    cross_worst = max(r["cross_norm_identity"] for r in residuals)
+    samples = per_algebra * len(CORE_ALGEBRAS)
     ok = dim_exact and sq_worst <= 1e-10 and cross_worst <= 1e-10
     verdict(
         2,
@@ -106,32 +89,15 @@ def test_criterion_02_dimension_and_peirce_identities():
 
 def test_criterion_03_triangular_roundtrip_and_power_identities():
     rng = np.random.default_rng(303)
-    roundtrip = 0.0
-    cocycle = 0.0
-    tau_unit = 0.0
     per_algebra = 1000 // len(CORE_ALGEBRAS) + 1
-    for a in CORE_ALGEBRAS:
-        frame = alg.standard_frame(a)
-        basis = peirce.build_peirce_basis(frame)
-        e = alg.identity(a)
-        for _ in range(per_algebra):
-            x = alg.random_cone_element(a, rng, 0.1, 10.0)
-            t = tri.triangular_decompose(x, frame)
-            roundtrip = max(
-                roundtrip, alg.norm(tri.apply_triangular(t, e) - x) / alg.norm(x)
-            )
-            s = rng.uniform(-1.5, 1.5, a.rank)
-            y = alg.random_cone_element(a, rng, 0.2, 5.0)
-            lhs = peirce.generalized_power_log(tri.apply_triangular(t, y), s, frame)
-            rhs = peirce.generalized_power_log(
-                tri.apply_triangular(t, e), s, frame
-            ) + peirce.generalized_power_log(y, s, frame)
-            cocycle = max(cocycle, abs(lhs - rhs))
-            i = int(rng.integers(0, a.rank - 1))
-            rows = np.vstack([basis.subspaces[(i, k)] for k in range(i + 1, a.rank)])
-            z = alg.Element(a, rng.standard_normal(rows.shape[0]) @ rows)
-            image = tri.frobenius_transform(frame[i], z).apply(e)
-            tau_unit = max(tau_unit, abs(peirce.generalized_power_log(image, s, frame)))
+    residuals = [
+        tri.triangular_identity_residuals(alg.standard_frame(a), per_algebra, rng)
+        for a in CORE_ALGEBRAS
+    ]
+    roundtrip, cocycle, tau_unit = (
+        max(r[key] for r in residuals)
+        for key in ("roundtrip", "power_cocycle", "frobenius_unit_power")
+    )
     ok = roundtrip <= 1e-9 and cocycle <= 1e-9 and tau_unit <= 1e-9
     verdict(
         3,
@@ -305,11 +271,7 @@ def test_criterion_08_sampler_validity():
     p_deg = 2.3
     params = dist.WishartParams(p_deg, scale).as_riesz(frame)
     draws = dist.sample_riesz(params, 100_000, np.random.default_rng(808))
-    coords = np.array([x.coords for x in draws])
-    mean = coords.mean(axis=0)
-    se = coords.std(axis=0, ddof=1) / math.sqrt(len(coords))
-    target = p_deg * alg.inverse(scale).coords
-    sigmas = float(np.max(np.abs(mean - target) / se))
+    sigmas = dist.wishart_mean_sigmas(np.array([x.coords for x in draws]), p_deg, scale)
     riesz = dist.RieszParams(PowerExponent.of((2.8, 1.6)), scale, frame)
     mass, spot = dist.riesz_normalization_quadrature(riesz, 48, 48, 32)
     ok = sigmas <= 4.0 and abs(mass - 1.0) <= 1e-3 and spot <= 1e-10

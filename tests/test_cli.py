@@ -213,8 +213,8 @@ def test_decompose_additivity_violation_fails(tmp_path):
 
 @pytest.mark.parametrize(
     "bad_row",
-    ["", "a,0.5,0.1,x,1.0", "a,0.5,0.1,1.0"],
-    ids=["blank-row", "non-numeric-cell", "short-row"],
+    ["", "a,0.5,0.1,x,1.0", "a,0.5,0.1,1.0", "a,0.5,nan,0.7,1.0", "a,0.5,0.1,0.7,inf"],
+    ids=["blank-row", "non-numeric-cell", "short-row", "nan-cell", "inf-cell"],
 )
 def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
     oracle_csv = tmp_path / "oracle.csv"
@@ -228,6 +228,44 @@ def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
     assert "oracle CSV" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         cli._oracle_csv_rows(oracle_csv, alg.sym_real(2))
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("decompose", {"oracle": {"family": "csv"}}),
+        ("decompose", {"oracle": {"family": "csv", "path": "{tmp}/absent.csv"}}),
+        ("decompose", {"oracle": {"family": "riesz-form", "s2": [1.5, 0.5]}}),
+        ("decompose", {"oracle": {"family": "riesz-form", "s1": [2.0, 1.0]}}),
+        ("decompose", {"oracle": {"family": "wishart-form", "lambda": [float("nan"), 0.0, 0.0]}}),
+        ("decompose", {"oracle": {"family": "zero", "grid": {"low": float("inf")}}}),
+        ("sample", {"distribution": {"type": "wishart"}}),
+        ("sample", {"distribution": {"type": "riesz"}}),
+        ("sample", {"distribution": {"type": "wishart", "p": 3.0, "a": [1.0, float("inf"), 0.0]}}),
+        ("run", {"algebra": {"kind": "sym_real"}}),
+        ("run", {"algebra": {"kind": "lorentz"}}),
+    ],
+    ids=[
+        "csv-without-path",
+        "csv-missing-file",
+        "riesz-form-without-s1",
+        "riesz-form-without-s2",
+        "nan-lambda",
+        "inf-grid-bound",
+        "wishart-without-p",
+        "riesz-without-s",
+        "inf-scale",
+        "algebra-without-rank",
+        "algebra-without-n",
+    ],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides):
+    """Missing keys and non-finite numbers exit 2 with one error line, not a traceback."""
+    overrides = json.loads(json.dumps(overrides).replace("{tmp}", str(tmp_path)))
+    cfg = write_config(tmp_path, name="malformed.json", **overrides)
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_decompose_requires_oracle(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conelab import algebra as alg
-from conelab import peirce
+from conelab import cli, peirce
 from conelab.errors import DomainError, ValidationError
 
 from conftest import ALGEBRAS
@@ -131,6 +131,27 @@ def test_norm_identities_zero_and_errors(rng):
     x = alg.random_cone_element(a, rng)  # not inside E_01
     with pytest.raises(ValidationError):
         peirce.peirce_norm_identities(x, z, 0, 1, 2, basis)
+
+
+@pytest.mark.parametrize(
+    "product, failing",
+    [
+        (None, set()),
+        (lambda x, y: 1.001 * alg.jordan_product(x, y), {"square_identity", "cross_norm_identity"}),
+        (lambda x, y: alg.jordan_product(x, y) + 1e-6 * x, {"multiplication_table"}),
+    ],
+    ids=["intact", "scaled-product", "product-leaves-E_ik"],
+)
+def test_suite_peirce_flags_a_broken_jordan_product(monkeypatch, product, failing):
+    """The shared identity residuals rise above the suite thresholds when the product is wrong."""
+    if product is not None:
+        monkeypatch.setattr(peirce, "jordan_product", product)
+    rng = np.random.default_rng(5)
+    checks = cli.suite_peirce(alg.sym_real(3), None, rng, 40, cli.DEFAULT_TOLERANCES)
+    failed = {name for name, check in checks.items() if not check["passed"]}
+    assert failing <= failed
+    if not failing:
+        assert failed == set()
 
 
 def test_principal_minor_leading_minor_oracle(rng):

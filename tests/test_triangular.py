@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conelab import algebra as alg
-from conelab import peirce, triangular as tri
+from conelab import cli, peirce, triangular as tri
 from conelab.errors import DomainError
 
 from conftest import ALGEBRAS
@@ -242,3 +242,42 @@ def test_frame_only_projectors_are_built_once():
         half = peirce.peirce_projectors(frame[j])[0.5].matrix
         assert_allclose(peirce.half_projector(frame, j).matrix, half, atol=0)
     assert frame.leading_projector(2) is frame.leading_projector(2)
+
+
+def _plus_identity(fn, eps):
+    """fn with eps * I added to the endomorphism it returns."""
+
+    def broken(*args, **kwargs):
+        m = fn(*args, **kwargs)
+        return alg.Endomorphism(m.algebra, m.matrix + eps * np.eye(m.algebra.dim))
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "name, breaker, failing",
+    [
+        ("apply_triangular", None, None),
+        ("apply_triangular", lambda f: lambda t, y: 1.001 * f(t, y), "roundtrip"),
+        ("apply_triangular", lambda f: lambda t, y: f(t, y) + 1e-3 * alg.identity(y.algebra), "power_cocycle"),
+        ("frobenius_transform", lambda f: _plus_identity(f, 1e-3), "frobenius_unit_power"),
+        ("box_operator", lambda f: _plus_identity(f, 1e-3), "box_nilpotency"),
+        ("norm", lambda f: lambda x: float("nan"), "roundtrip"),
+    ],
+    ids=[
+        "intact",
+        "scaled-group-action",
+        "shifted-group-action",
+        "shifted-frobenius",
+        "box-not-nilpotent",
+        "nan-residual",
+    ],
+)
+def test_suite_triangular_flags_a_broken_ingredient(monkeypatch, name, breaker, failing):
+    """The shared triangular residuals rise above the suite thresholds when an ingredient is wrong."""
+    if breaker is not None:
+        monkeypatch.setattr(tri, name, breaker(getattr(tri, name)))
+    rng = np.random.default_rng(5)
+    checks = cli.suite_triangular(alg.sym_real(3), None, rng, 20, cli.DEFAULT_TOLERANCES)
+    failed = {key for key, check in checks.items() if not check["passed"]}
+    assert (failed == set()) if failing is None else (failing in failed)
