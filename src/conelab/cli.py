@@ -201,6 +201,25 @@ def _number(cfg: dict, key: str, where: str, default=None):
     return value
 
 
+def _count(cfg: dict, key: str, where: str, default=None) -> int:
+    """cfg[key] (``default`` if given and the key is absent), a positive integer."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where}.{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _overrides(cfg: dict, key: str, defaults: dict) -> dict:
+    """The object under cfg[key], keyed by names of ``defaults``; {} when absent."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object keyed by {', '.join(defaults)}")
+    unknown = [name for name in value if name not in defaults]
+    if unknown:
+        raise ConfigError(f"unknown {key} keys {unknown}; valid keys: {', '.join(defaults)}")
+    return value
+
+
 def _element_from_config(cfg: dict, key: str, default: str, algebra, where: str) -> Element:
     """'e', 'minus_e' or a list of finite coordinates under cfg[key]."""
     value = cfg.get(key, default)
@@ -493,10 +512,14 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             f"unknown suites {unknown}; valid suites: {', '.join(SUITE_NAMES)}"
         )
     seed = cfg["seed"]
+    samples = _overrides(cfg, "samples", DEFAULT_SAMPLES)
     samples_cfg = dict(DEFAULT_SAMPLES)
-    samples_cfg.update(cfg.get("samples", {}))
+    samples_cfg.update({name: _count(samples, name, "samples") for name in samples})
     tol = dict(DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
+    for name, value in _overrides(cfg, "tolerances", DEFAULT_TOLERANCES).items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < np.inf:
+            raise ConfigError(f"tolerances.{name} must be a finite number >= 0, got {value!r}")
+        tol[name] = value
 
     summary = {
         "algebra": algebra.name,
@@ -594,7 +617,7 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("decompose requires an 'oracle' object with a 'family'")
     grid_cfg = oracle_cfg.get("grid", {})
     grid = GridSpec(
-        n_points=int(_number(grid_cfg, "n_points", "oracle.grid", 2000)),
+        n_points=_count(grid_cfg, "n_points", "oracle.grid", 2000),
         low=float(_number(grid_cfg, "low", "oracle.grid", 0.1)),
         high=float(_number(grid_cfg, "high", "oracle.grid", 10.0)),
         seed=int(_number(grid_cfg, "seed", "oracle.grid", cfg["seed"])),
@@ -605,6 +628,8 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
     if family == "wishart-form":
         lam = _element_from_config(oracle_cfg, "lambda", "minus_e", algebra, "oracle")
         kappa = _number(oracle_cfg, "kappa", "oracle", [0.7, 1.3])
+        if np.shape(kappa) != (2,):
+            raise ConfigError(f"oracle.kappa must be a list of two finite numbers, got {kappa!r}")
         e_fn = log_det_power(float(kappa[0]), algebra)
         f_fn = log_det_power(float(kappa[1]), algebra)
     elif family == "riesz-form":
@@ -660,7 +685,7 @@ def cmd_sample(cfg: dict, out_dir: Path) -> int:
     dist = cfg.get("distribution")
     if not isinstance(dist, dict) or "type" not in dist:
         raise ConfigError("sample requires a 'distribution' object with a 'type'")
-    n = int(_number(cfg, "n", "config", 1000))
+    n = _count(cfg, "n", "config", 1000)
     frame = standard_frame(algebra)
     a = _element_from_config(dist, "a", "e", algebra, "distribution")
     if dist["type"] == "wishart":

@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .algorithms import MultiplicationAlgorithm, multiply
 from .errors import FitError, InconsistencyError, ValidationError
-from .peirce import PowerExponent, all_principal_minors, generalized_power_log
+from .peirce import PowerExponent, generalized_power_log, principal_minors
 
 FORM_LOG_DET_POWER = "log_det_power"
 FORM_DELTA_S_LOG = "delta_s_log"
@@ -277,13 +277,8 @@ def _classify_log_cauchy(values: np.ndarray, points, frame, algebra):
     Returns (declared_form, params, fitted_values, max_fit_residual, s_hat).
     """
     r = algebra.rank
-    feats = np.zeros((len(points), r))
-    for i, x in enumerate(points):
-        logs = np.log(all_principal_minors(x, frame))
-        prev = 0.0
-        for k in range(r):
-            feats[i, k] = logs[k] - prev
-            prev = logs[k]
+    minors = principal_minors(frame, np.array([x.coords for x in points]))
+    feats = np.diff(np.log(minors), axis=1, prepend=0.0)
     s_hat, _, rank, _ = np.linalg.lstsq(feats, values, rcond=None)
     fitted = feats @ s_hat
     resid = float(np.max(np.abs(fitted - values))) if len(values) else 0.0
@@ -433,6 +428,17 @@ def olkin_baker_decompose(
         lhs = (inner(lam, x) + e_raw(x) + c1) + (inner(lam, y) + f_raw(y) + c2)
         rhs = (inner(lam, v) + e_raw(v) + f_raw(v) + c3) + (e_raw(uv) + f_raw(e - uv) + c4)
         recon = max(recon, abs(lhs - rhs))
+    constant_defect = abs(c1 + c2 - c3 - c4)
+    for label, value in (
+        ("c", c_residual),
+        ("reconstruction", recon),
+        ("constant", constant_defect),
+    ):
+        if not value <= 10.0 * grid.tol:
+            raise InconsistencyError(
+                f"recovered parts miss the oracles ({label} residual {value:.3e} "
+                f"> {10.0 * grid.tol:.1e})"
+            )
 
     diagnostics = {
         "equation_residual": eq_residual,

@@ -10,8 +10,7 @@ from .algebra import (
     Element,
     Endomorphism,
     JordanFrame,
-    determinant,
-    eigenvalues,
+    batch_eigenvalues,
     identity,
     inner,
     is_idempotent,
@@ -243,32 +242,33 @@ def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def principal_minor(x: Element, k: int, frame) -> float:
-    """Minor of order k: the subalgebra determinant of the projection of x.
+def principal_minors(frame: JordanFrame, coords: np.ndarray) -> np.ndarray:
+    """Minors Delta_1 .. Delta_r of each row of an (n, dim) coordinate array, shape (n, r).
 
-    The projection onto the subalgebra of c_1 + ... + c_k has the subalgebra
-    spectrum plus r - k exact zeros, so the minor is the product of the k
-    largest eigenvalues in absolute value.
+    Delta_k is the subalgebra determinant of the projection onto the
+    subalgebra of c_1 + ... + c_k.  That projection has the subalgebra
+    spectrum plus r - k exact zeros, so Delta_k is the product of its k
+    eigenvalues of largest absolute value; Delta_r is the determinant.
     """
-    if not isinstance(frame, JordanFrame):
-        frame = JordanFrame(frame)
-    algebra = x.algebra
-    if not 1 <= k <= algebra.rank:
-        raise ValidationError(f"minor order {k} outside 1..{algebra.rank}")
-    if k == algebra.rank:
-        return determinant(x)
-    y = frame.leading_projector(k).apply(x)
-    lam = eigenvalues(y)
-    order = np.argsort(-np.abs(lam), kind="stable")
-    return float(np.prod(lam[order[:k]]))
+    algebra = frame.algebra
+    r = len(frame)
+    rows = np.arange(len(coords))[:, None]
+    minors = np.empty((len(coords), r))
+    for k in range(1, r):
+        lam = batch_eigenvalues(algebra, coords @ frame.leading_projector(k).matrix.T)
+        order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+        minors[:, k - 1] = lam[rows, order[:, :k]].prod(axis=1)
+    minors[:, r - 1] = batch_eigenvalues(algebra, coords).prod(axis=1)
+    return minors
 
 
-def all_principal_minors(x: Element, frame) -> np.ndarray:
+def principal_minor(x: Element, k: int, frame) -> float:
+    """Minor of order k of x: one row of :func:`principal_minors`."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
-    return np.array(
-        [principal_minor(x, k, frame) for k in range(1, x.algebra.rank + 1)]
-    )
+    if not 1 <= k <= x.algebra.rank:
+        raise ValidationError(f"minor order {k} outside 1..{x.algebra.rank}")
+    return float(principal_minors(frame, x.coords[None, :])[0, k - 1])
 
 
 def generalized_power_log(x: Element, s, frame) -> float:
@@ -276,7 +276,7 @@ def generalized_power_log(x: Element, s, frame) -> float:
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     svec = exponent_vector(s, x.algebra.rank)
-    minors = all_principal_minors(x, frame)
+    minors = principal_minors(frame, x.coords[None, :])[0]
     if np.any(minors <= 0.0):
         raise DomainError("generalized power needs all principal minors positive")
     steps = svec - np.append(svec[1:], 0.0)

@@ -3,9 +3,12 @@
 The triangular group of a frame (c_1, ..., c_r) follows Faraut & Korányi,
 *Analysis on Symmetric Cones* (1994), ch. VI.  Each cone point x is t_x e for
 a unique t_x = tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k).
-The scalar functions work on one :class:`~conelab.algebra.Element`; the
-``batch_*`` functions do the same on (n, dim) coordinate arrays, using only
-batched Jordan products and the frame's cached projections.
+The ``batch_*`` functions are the implementation: they work on (n, dim)
+coordinate arrays, using only batched Jordan products and the frame's cached
+projections.  The scalar :func:`triangular_decompose` is a one-row call of
+:func:`batch_triangular_decompose`; only :func:`frobenius_transform` and
+:func:`as_endomorphism`, which build the group element as a matrix, work on
+one :class:`~conelab.algebra.Element` directly.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from .algebra import (
     JordanFrame,
     batch_jordan_product,
     batch_quad_rep,
-    eigenvalues,
     identity,
-    inner,
     jordan_product,
     lmap,
     norm,
@@ -105,36 +106,15 @@ def strict_upper_projector(frame: JordanFrame, j: int) -> Endomorphism:
 
 
 def triangular_decompose(x: Element, frame) -> TriangularElement:
-    """Unique t in the triangular group of the frame with t e = x, for x in the cone.
-
-    Peels Peirce components: alpha_j is the E_jj component, z^(j) solves the
-    half-space components linearly, then tau_{c_j}(-z^(j)) reduces to the
-    subalgebra spanned by the remaining frame members.
-    """
+    """Unique t in the triangular group of the frame with t e = x; one row of
+    :func:`batch_triangular_decompose`.  DomainError when x is outside the cone."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     if x.algebra != frame.algebra:
         raise ValidationError("element and frame from different algebras")
-    if eigenvalues(x).min() <= 0:
-        raise DomainError("triangular decomposition needs a cone element")
-    r = len(frame)
-    work = x
-    alphas = np.empty(r)
-    zs = []
-    for j in range(r - 1):
-        c = frame[j]
-        alpha = inner(work, c)
-        if alpha <= 0:
-            raise DomainError("element is not in the cone of this frame")
-        alphas[j] = alpha
-        half = strict_upper_projector(frame, j).apply(work)
-        z = half / alpha
-        zs.append(z)
-        work = frobenius_transform(c, -z, half_projector(frame, j)).apply(work)
-    alphas[r - 1] = inner(work, frame[r - 1])
-    if alphas[r - 1] <= 0:
-        raise DomainError("element is not in the cone of this frame")
-    return TriangularElement(frame, tuple(zs), alphas)
+    batch = batch_triangular_decompose(x.coords[None, :], frame)
+    zs = tuple(Element(frame.algebra, z[0]) for z in batch.frobenius_params)
+    return TriangularElement(frame, zs, batch.diagonal[0])
 
 
 def as_endomorphism(t: TriangularElement) -> Endomorphism:
@@ -157,15 +137,6 @@ def adjoint(t: TriangularElement) -> Endomorphism:
 
 def apply_triangular(t: TriangularElement, x: Element) -> Element:
     return as_endomorphism(t).apply(x)
-
-
-def compose_triangular(t: TriangularElement, u: TriangularElement) -> TriangularElement:
-    """Composition inside the group, recovered by re-decomposing the image of e."""
-    if t.frame is not u.frame and t.frame.elements != u.frame.elements:
-        raise ValidationError("composition needs a shared frame")
-    combined = as_endomorphism(t) @ as_endomorphism(u)
-    image = combined.apply(identity(t.algebra))
-    return triangular_decompose(image, t.frame)
 
 
 def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
@@ -262,7 +233,7 @@ def _batch_diagonal(frame: JordanFrame, beta: np.ndarray, y: np.ndarray) -> np.n
 
 
 def batch_triangular_decompose(x: np.ndarray, frame: JordanFrame) -> TriangularBatch:
-    """:func:`triangular_decompose` of every row of x; DomainError when a row leaves the cone.
+    """The unique t_i with t_i e = x_i for every row of x; DomainError when a row leaves the cone.
 
     Step j reads alpha_j = <work, c_j> and z_j = S_j work / alpha_j, with S_j
     the frame's :func:`strict_upper_projector`, then sets
@@ -285,29 +256,3 @@ def batch_triangular_decompose(x: np.ndarray, frame: JordanFrame) -> TriangularB
         work = batch_frobenius(frame, j, -z, work)
     return TriangularBatch(frame, tuple(zs), alphas)
 
-
-def triangular_from_cholesky(mat: np.ndarray, frame) -> TriangularElement:
-    """Parameters of the sym_real triangular element x -> T x T^t, T lower triangular.
-
-    Valid for the standard frame of a real symmetric algebra; used as an
-    independent cross-check of :func:`triangular_decompose`.
-    """
-    if not isinstance(frame, JordanFrame):
-        frame = JordanFrame(frame)
-    algebra = frame.algebra
-    from .algebra import SYM_REAL, from_matrix, standard_frame
-
-    if algebra.kind != SYM_REAL or frame.elements != standard_frame(algebra).elements:
-        raise ValidationError("Cholesky parameters require the standard sym_real frame")
-    t_mat = np.asarray(mat, dtype=float)
-    r = algebra.rank
-    alphas = np.diag(t_mat) ** 2
-    zs = []
-    for j in range(r - 1):
-        zm = np.zeros((r, r))
-        for k in range(j + 1, r):
-            ratio = t_mat[k, j] / t_mat[j, j]
-            zm[j, k] = ratio
-            zm[k, j] = ratio
-        zs.append(from_matrix(algebra, zm))
-    return TriangularElement(frame, tuple(zs), alphas)

@@ -211,6 +211,32 @@ def test_decompose_additivity_violation_fails(tmp_path):
     assert cli.main(["decompose", str(cfg_bad), "--out", str(tmp_path / "bad_out")]) == 1
 
 
+def test_decompose_csv_with_wrong_c_at_identity_fails(tmp_path, capsys):
+    """A tabulated c off by 1e-3 at e alone passes the equation gate but fails the recovered parts."""
+    oracle_csv = tmp_path / "oracle.csv"
+    grid = {"n_points": 300, "seed": 2}
+    oracle = {"family": "riesz-form", "s1": [2.0, 1.0], "s2": [1.5, 0.5], "grid": grid}
+    cfg = write_config(tmp_path, name="dec.json", algorithm="w2", oracle=oracle, dump_oracle=str(oracle_csv))
+    assert cli.main(["decompose", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    rows = list(csv.reader(oracle_csv.open()))
+    e = list(alg.identity(alg.sym_real(2)).coords)
+    edited = 0
+    for row in rows[1:]:
+        if row[0] == "c" and [float(v) for v in row[1:-1]] == e:
+            row[-1] = repr(float(row[-1]) + 1e-3)
+            edited += 1
+    assert edited >= 1
+    bad_csv = tmp_path / "bad.csv"
+    with bad_csv.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    cfg_bad = write_config(
+        tmp_path, name="bad.json", algorithm="w2", oracle={"family": "csv", "path": str(bad_csv), "grid": grid}
+    )
+    capsys.readouterr()
+    assert cli.main(["decompose", str(cfg_bad), "--out", str(tmp_path / "bad_out")]) == 1
+    assert capsys.readouterr().err.startswith("failure: recovered parts miss the oracles")
+
+
 @pytest.mark.parametrize(
     "bad_row",
     ["", "a,0.5,0.1,x,1.0", "a,0.5,0.1,1.0", "a,0.5,nan,0.7,1.0", "a,0.5,0.1,0.7,inf"],
@@ -244,6 +270,19 @@ def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
         ("sample", {"distribution": {"type": "wishart", "p": 3.0, "a": [1.0, float("inf"), 0.0]}}),
         ("run", {"algebra": {"kind": "sym_real"}}),
         ("run", {"algebra": {"kind": "lorentz"}}),
+        ("run", {"samples": {"peirce": float("nan")}}),
+        ("run", {"samples": "lots"}),
+        ("run", {"samples": {"peirce": -5}}),
+        ("run", {"samples": {"peirce": 2.5}}),
+        ("run", {"samples": {"no-such-suite": 5}}),
+        ("run", {"tolerances": {"peirce_identity": float("nan")}}),
+        ("run", {"tolerances": {"peirce_identity": -1e-3}}),
+        ("run", {"tolerances": {"no_such_tolerance": 1e-3}}),
+        ("sample", {"n": -5, "distribution": {"type": "riesz", "s": [2.0, 1.5]}}),
+        ("sample", {"n": 2.5, "distribution": {"type": "riesz", "s": [2.0, 1.5]}}),
+        ("decompose", {"oracle": {"family": "zero", "grid": {"n_points": 200.5}}}),
+        ("decompose", {"oracle": {"family": "wishart-form", "kappa": 0.7}}),
+        ("decompose", {"oracle": {"family": "wishart-form", "kappa": [0.7]}}),
     ],
     ids=[
         "csv-without-path",
@@ -257,6 +296,19 @@ def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
         "inf-scale",
         "algebra-without-rank",
         "algebra-without-n",
+        "nan-sample-size",
+        "samples-not-an-object",
+        "negative-sample-size",
+        "fractional-sample-size",
+        "samples-for-unknown-suite",
+        "nan-tolerance",
+        "negative-tolerance",
+        "unknown-tolerance",
+        "negative-draw-count",
+        "fractional-draw-count",
+        "fractional-grid-size",
+        "scalar-kappa",
+        "one-entry-kappa",
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides):

@@ -197,6 +197,23 @@ def test_decompose_rejects_inconsistent_data():
         fe.olkin_baker_decompose(a_bad, b_fn, c_fn, d_fn, w, fe.GridSpec(n_points=200, seed=5))
 
 
+def test_decompose_rejects_an_oracle_wrong_only_at_identity():
+    """c off by 1e-3 at e passes the equation and Pexider gates but not the recovered parts."""
+    a = alg.sym_real(2)
+    frame = alg.standard_frame(a)
+    w = ma.w2(frame)
+    e = alg.identity(a)
+    a_fn, b_fn, c_fn, d_fn = fe.make_olkin_baker_instance(
+        -1.0 * e, fe.delta_s_log((2.0, 1.0), frame), fe.delta_s_log((1.5, 0.5), frame), w
+    )
+
+    def c_bad(x):
+        return c_fn(x) + (1e-3 if np.array_equal(x.coords, e.coords) else 0.0)
+
+    with pytest.raises(InconsistencyError, match="residual 1.000e-03"):
+        fe.olkin_baker_decompose(a_fn, b_fn, c_bad, d_fn, w, fe.GridSpec(n_points=300, seed=2))
+
+
 def test_decompose_rejects_inhomogeneous_algorithm():
     a = alg.sym_real(2)
     w = ma.piecewise_det(alg.standard_frame(a))
