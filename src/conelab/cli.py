@@ -34,7 +34,6 @@ from .algebra import (
     determinant,
     herm_complex,
     identity,
-    inner,
     inverse,
     lorentz,
     norm,
@@ -382,13 +381,16 @@ def suite_functional_eq(algebra, algorithm, rng, n, tol):
     checks["logdet_det_functional"] = _check(rep_det.equal_det_residual, tol["wlog"])
 
     lam = random_element(algebra, rng)
+    lam_row = algebra.inner_scale * lam.coords
     alpha, beta = float(rng.normal()), float(rng.normal())
-    xs = [random_cone_element(algebra, rng) for _ in range(max(algebra.dim + 2, 40))]
-    ys = [random_cone_element(algebra, rng) for _ in range(len(xs))]
+    n_fit = max(algebra.dim + 2, 40)
+    xs = np.array([random_cone_element(algebra, rng).coords for _ in range(n_fit)])
+    ys = np.array([random_cone_element(algebra, rng).coords for _ in range(n_fit)])
     fit = pexider_fit(
-        [(x, inner(lam, x) + alpha) for x in xs],
-        [(y, inner(lam, y) + beta) for y in ys],
-        [(x + y, inner(lam, x + y) + alpha + beta) for x, y in zip(xs, ys)],
+        algebra,
+        (xs, xs @ lam_row + alpha),
+        (ys, ys @ lam_row + beta),
+        (xs + ys, (xs + ys) @ lam_row + alpha + beta),
     )
     recovery = max(norm(fit.lam - lam), abs(fit.alpha - alpha), abs(fit.beta - beta))
     checks["pexider_recovery"] = _check(recovery, tol["pexider"])
@@ -568,10 +570,10 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
 
 
 def _recording(fn, records, role):
-    def wrapped(x: Element) -> float:
-        value = float(fn(x))
-        records.append((role, x.coords.copy(), value))
-        return value
+    def wrapped(coords: np.ndarray) -> np.ndarray:
+        values = fn(coords)
+        records.extend((role, row, float(value)) for row, value in zip(coords.copy(), values))
+        return values
 
     return wrapped
 
@@ -582,10 +584,9 @@ def _tabulated(rows, role):
         if r == role:
             table[tuple(np.round(coords, 12))] = value
 
-    def lookup(x: Element) -> float:
-        key = tuple(np.round(x.coords, 12))
+    def lookup(coords: np.ndarray) -> np.ndarray:
         try:
-            return table[key]
+            return np.array([table[tuple(row)] for row in np.round(coords, 12)], dtype=float)
         except KeyError:
             raise InconsistencyError(
                 f"tabulated oracle {role!r} has no value at a requested grid point; "

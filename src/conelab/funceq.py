@@ -18,9 +18,8 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     JordanFrame,
-    determinant,
+    batch_eigenvalues,
     identity,
-    inner,
     norm,
     random_automorphism_k,
     random_cone_element,
@@ -28,9 +27,9 @@ from .algebra import (
     standard_frame,
     zero,
 )
-from .algorithms import MultiplicationAlgorithm, multiply
+from .algorithms import MultiplicationAlgorithm
 from .errors import FitError, InconsistencyError, ValidationError
-from .peirce import PowerExponent, generalized_power_log, principal_minors
+from .peirce import PowerExponent, batch_generalized_power_log, principal_minors
 
 FORM_LOG_DET_POWER = "log_det_power"
 FORM_DELTA_S_LOG = "delta_s_log"
@@ -40,15 +39,18 @@ FORM_ZERO = "zero"
 
 @dataclass(frozen=True, eq=False)
 class LogCauchyFn:
-    """A candidate logarithmic Cauchy function on the cone; f(e) = 0 by construction."""
+    """A candidate logarithmic Cauchy function on the cone; f(e) = 0 by construction.
+
+    ``evaluator`` maps an (n, dim) coordinate array to the (n,) values.
+    """
 
     algebra: AlgebraDescriptor
-    evaluator: Callable[[Element], float] = field(repr=False)
+    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     declared_form: str = FORM_CUSTOM
     params: dict = field(default_factory=dict)
 
     def __call__(self, x: Element) -> float:
-        return float(self.evaluator(x))
+        return float(self.evaluator(x.coords[None, :])[0])
 
     def form_dict(self) -> dict:
         out = {"form": self.declared_form}
@@ -57,7 +59,7 @@ class LogCauchyFn:
 
 
 def zero_fn(algebra: AlgebraDescriptor) -> LogCauchyFn:
-    return LogCauchyFn(algebra, lambda x: 0.0, FORM_ZERO, {})
+    return LogCauchyFn(algebra, lambda coords: np.zeros(len(coords)), FORM_ZERO, {})
 
 
 def log_det_power(kappa: float, algebra: AlgebraDescriptor) -> LogCauchyFn:
@@ -65,7 +67,7 @@ def log_det_power(kappa: float, algebra: AlgebraDescriptor) -> LogCauchyFn:
     kappa = float(kappa)
     return LogCauchyFn(
         algebra,
-        lambda x: kappa * float(np.log(determinant(x))),
+        lambda coords: kappa * np.log(batch_eigenvalues(algebra, coords).prod(axis=1)),
         FORM_LOG_DET_POWER,
         {"kappa": kappa},
     )
@@ -78,16 +80,15 @@ def delta_s_log(s, frame) -> LogCauchyFn:
     s = PowerExponent.of(s)
     return LogCauchyFn(
         frame.algebra,
-        lambda x: generalized_power_log(x, s, frame),
+        lambda coords: batch_generalized_power_log(frame, coords, s),
         FORM_DELTA_S_LOG,
         {"s": list(s.values)},
     )
 
 
-def custom_log_cauchy(fn: Callable[[Element], float], algebra: AlgebraDescriptor) -> LogCauchyFn:
-    """Wrap an arbitrary evaluator, shifted so that f(e) = 0."""
-    offset = float(fn(identity(algebra)))
-    return LogCauchyFn(algebra, lambda x: float(fn(x)) - offset, FORM_CUSTOM, {})
+def _max_abs(values) -> float:
+    """max |values|, 0 for no values; a NaN anywhere gives NaN, so it fails every gate."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +97,18 @@ def custom_log_cauchy(fn: Callable[[Element], float], algebra: AlgebraDescriptor
 
 
 def draw_cone_pairs(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator, low=0.2, high=5.0):
-    return [
-        (random_cone_element(algebra, rng, low, high), random_cone_element(algebra, rng, low, high))
-        for _ in range(n)
-    ]
+    """Two (n, dim) arrays (x, y) of cone points, drawn x_1, y_1, x_2, y_2, ..."""
+    draws = np.array(
+        [random_cone_element(algebra, rng, low, high).coords for _ in range(2 * n)]
+    ).reshape(n, 2, algebra.dim)
+    return draws[:, 0], draws[:, 1]
 
 
 def wlog_residual(f: LogCauchyFn, w: MultiplicationAlgorithm, samples) -> float:
-    """max |f(x) + f(w(e) y) - f(w(x) y)| over the sample pairs."""
-    unit = w.unit_image()
-    worst = 0.0
-    for x, y in samples:
-        lhs = f(x) + f(unit.apply(y))
-        rhs = f(multiply(w, x, y))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    """max |f(x) + f(w(e) y) - f(w(x) y)| over the rows of the sample pair (x, y)."""
+    x, y = samples
+    lhs = f.evaluator(x) + f.evaluator(w.unit_image().apply_batch(y))
+    return _max_abs(lhs - f.evaluator(w.apply_batch(x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,36 +124,26 @@ class PexiderFit:
     residual: float
 
 
-def pexider_fit(a_samples, b_samples, c_samples) -> PexiderFit:
+def pexider_fit(algebra: AlgebraDescriptor, a_samples, b_samples, c_samples) -> PexiderFit:
     """Least-squares fit of a(x) = <lam, x> + alpha, b = <lam, .> + beta,
-    c = <lam, .> + alpha + beta to tabulated samples of the three functions."""
-    all_samples = list(a_samples) + list(b_samples) + list(c_samples)
-    if not all_samples:
-        raise FitError("no samples supplied")
-    algebra = all_samples[0][0].algebra
+    c = <lam, .> + alpha + beta to tabulated samples of the three functions.
+
+    Each sample set is a pair (coords, values): an (n, dim) array and its (n,) values.
+    """
     dim = algebra.dim
-    scale = algebra.inner_scale
-    rows = []
-    rhs = []
-    for group, samples in enumerate((a_samples, b_samples, c_samples)):
-        for x, value in samples:
-            row = np.zeros(dim + 2)
-            row[:dim] = scale * x.coords
-            if group in (0, 2):
-                row[dim] = 1.0
-            if group in (1, 2):
-                row[dim + 1] = 1.0
-            rows.append(row)
-            rhs.append(float(value))
-    design = np.array(rows)
-    rhs = np.array(rhs)
+    groups = (a_samples, b_samples, c_samples)
+    coords = [np.reshape(x, (-1, dim)) for x, _ in groups]
+    rhs = np.concatenate([np.ravel(values) for _, values in groups]).astype(float)
+    # the alpha and beta columns: a carries alpha, b carries beta, c carries both
+    flags = np.repeat([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [len(x) for x in coords], axis=0)
+    design = np.hstack([algebra.inner_scale * np.concatenate(coords), flags])
     if design.shape[0] < dim + 2:
         raise FitError(f"need at least {dim + 2} samples, got {design.shape[0]}")
     solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < dim + 2:
         raise FitError("rank-deficient Pexider design matrix")
-    residual = float(np.max(np.abs(design @ solution - rhs))) if len(rhs) else 0.0
     lam = Element(algebra, solution[:dim])
+    residual = _max_abs(design @ solution - rhs)
     return PexiderFit(lam, float(solution[dim]), float(solution[dim + 1]), residual)
 
 
@@ -222,8 +210,8 @@ def make_olkin_baker_instance(
     """Forward-construct oracles (a, b, c, d) from solution parameters.
 
     The constants must satisfy c1 + c2 = c3 + c4; by default c3 = c1, c4 = c2.
-    Returns four callables; d is defined on the set of u with u and e - u in
-    the cone.
+    Returns four callables, each mapping an (n, dim) coordinate array to its
+    (n,) values; d is defined on the set of u with u and e - u in the cone.
     """
     if c3 is None and c4 is None:
         c3, c4 = c1, c2
@@ -233,98 +221,98 @@ def make_olkin_baker_instance(
         c4 = c1 + c2 - c3
     if abs(c1 + c2 - c3 - c4) > 1e-12:
         raise ValidationError("constants must satisfy c1 + c2 = c3 + c4")
-    algebra = lam.algebra
-    e = identity(algebra)
+    lam_row = lam.algebra.inner_scale * lam.coords
+    e = identity(lam.algebra).coords
     unit = w.unit_image()
 
-    def a(x: Element) -> float:
-        return inner(lam, x) + e_fn(x) + c1
+    def a(x: np.ndarray) -> np.ndarray:
+        return x @ lam_row + e_fn.evaluator(x) + c1
 
-    def b(x: Element) -> float:
-        return inner(lam, x) + f_fn(x) + c2
+    def b(x: np.ndarray) -> np.ndarray:
+        return x @ lam_row + f_fn.evaluator(x) + c2
 
-    def c(x: Element) -> float:
-        return inner(lam, x) + e_fn(x) + f_fn(x) + c3
+    def c(x: np.ndarray) -> np.ndarray:
+        return x @ lam_row + e_fn.evaluator(x) + f_fn.evaluator(x) + c3
 
-    def d(u: Element) -> float:
-        v = unit.apply(u)
-        return e_fn(v) + f_fn(e - v) + c4
+    def d(u: np.ndarray) -> np.ndarray:
+        v = unit.apply_batch(u)
+        return e_fn.evaluator(v) + f_fn.evaluator(e - v) + c4
 
     return a, b, c, d
 
 
 def _richardson_limit(alphas: np.ndarray, values: np.ndarray):
-    """Quadratic extrapolation of h(alpha) to alpha -> 0 on the trailing nodes.
+    """Quadratic extrapolation of each row of h(alpha) to alpha -> 0 on the trailing nodes.
 
-    Returns the order-2 extrapolant from the last three nodes and its
+    ``values`` holds one row per point, one column per rung.  Returns, per
+    row, the order-2 extrapolant from the last three nodes and its
     disagreement with the one from the previous window.
     """
     if len(alphas) < 3:
         raise ValidationError("the ladder needs at least three rungs")
 
     def quad_at_zero(xs, ys):
-        coeffs = np.polyfit(xs, ys, 2)
-        return float(np.polyval(coeffs, 0.0))
+        return np.polyfit(xs, ys.T, 2)[-1]
 
-    last = quad_at_zero(alphas[-3:], values[-3:])
-    prev = quad_at_zero(alphas[-4:-1], values[-4:-1]) if len(alphas) >= 4 else last
-    return last, abs(last - prev)
+    last = quad_at_zero(alphas[-3:], values[:, -3:])
+    prev = quad_at_zero(alphas[-4:-1], values[:, -4:-1]) if len(alphas) >= 4 else last
+    return last, np.abs(last - prev)
 
 
-def _classify_log_cauchy(values: np.ndarray, points, frame, algebra):
-    """Fit delta_s / log-det forms to tabulated values; fall back to custom.
+def _recovered_log_cauchy(values: np.ndarray, coords: np.ndarray, frame, raw, tol: float):
+    """Fit delta_s / log-det forms to tabulated values; fall back to ``raw`` as a custom form.
 
-    Returns (declared_form, params, fitted_values, max_fit_residual, s_hat).
+    Returns (the recovered function, max fit residual).
     """
-    r = algebra.rank
-    minors = principal_minors(frame, np.array([x.coords for x in points]))
+    algebra = frame.algebra
+    minors = principal_minors(frame, coords)
     feats = np.diff(np.log(minors), axis=1, prepend=0.0)
-    s_hat, _, rank, _ = np.linalg.lstsq(feats, values, rcond=None)
-    fitted = feats @ s_hat
-    resid = float(np.max(np.abs(fitted - values))) if len(values) else 0.0
-    spread = float(np.max(s_hat) - np.min(s_hat)) if r > 1 else 0.0
-    if spread <= 1e-6:
-        kappa = float(np.mean(s_hat))
-        return FORM_LOG_DET_POWER, {"kappa": kappa}, fitted, resid, s_hat
-    return FORM_DELTA_S_LOG, {"s": [float(v) for v in s_hat]}, fitted, resid, s_hat
+    s_hat = np.linalg.lstsq(feats, values, rcond=None)[0]
+    resid = _max_abs(feats @ s_hat - values)
+    if not resid <= tol:
+        return LogCauchyFn(algebra, raw, FORM_CUSTOM, {"fit_residual": resid}), resid
+    if np.max(s_hat) - np.min(s_hat) <= 1e-6:
+        return log_det_power(np.mean(s_hat), algebra), resid
+    return delta_s_log([float(v) for v in s_hat], frame), resid
 
 
 def olkin_baker_decompose(
-    a: Callable[[Element], float],
-    b: Callable[[Element], float],
-    c: Callable[[Element], float],
-    d: Callable[[Element], float],
+    a: Callable[[np.ndarray], np.ndarray],
+    b: Callable[[np.ndarray], np.ndarray],
+    c: Callable[[np.ndarray], np.ndarray],
+    d: Callable[[np.ndarray], np.ndarray],
     w: MultiplicationAlgorithm,
     grid: GridSpec = GridSpec(),
 ) -> OBDecomposition:
     """Recover (Lambda, e, f, C_1..C_4) from oracle evaluations.
 
-    The steps mirror the constructive proof of the decomposition: scaling
-    differences reduce to additive Pexider fits, which pin Lambda and the
-    logarithmic drift constants; subtracting the linear part leaves the two
-    Cauchy components up to additive constants fixed at e.
+    Each oracle maps an (n, dim) coordinate array to its (n,) values and is
+    called on whole stacked arrays, a fixed number of times whatever the grid
+    size.  The steps mirror the constructive proof of the decomposition:
+    scaling differences reduce to additive Pexider fits, which pin Lambda and
+    the logarithmic drift constants; subtracting the linear part leaves the
+    two Cauchy components up to additive constants fixed at e.
     """
     if not w.homogeneous:
         raise ValidationError("the decomposition requires a homogeneous algorithm")
     algebra = w.algebra
     rng = np.random.default_rng(grid.seed)
-    e = identity(algebra)
+    e = identity(algebra).coords[None, :]
     unit = w.unit_image()
     frame = w.frame if w.frame is not None else standard_frame(algebra)
 
-    xs = [random_cone_element(algebra, rng, grid.low, grid.high) for _ in range(grid.n_points)]
-    ys = [random_cone_element(algebra, rng, grid.low, grid.high) for _ in range(grid.n_points)]
-    vs = [x + y for x, y in zip(xs, ys)]
-    u_rows = w.solve_batch(
-        np.array([v.coords for v in vs]), np.array([x.coords for x in xs])
-    )
-    us = [Element(algebra, row) for row in u_rows]
+    n = grid.n_points
+    draws = np.array(
+        [random_cone_element(algebra, rng, grid.low, grid.high).coords for _ in range(2 * n)]
+    ).reshape(2 * n, algebra.dim)
+    xs, ys = draws[:n], draws[n:]
+    vs = xs + ys
+    us = w.solve_batch(vs, xs)
 
     # the equation itself must hold on the grid before anything is fitted
-    eq_residual = 0.0
-    for x, y, v, u in zip(xs, ys, vs, us):
-        eq_residual = max(eq_residual, abs(a(x) + b(y) - c(v) - d(u)))
-    if eq_residual > grid.tol:
+    a_x, b_y, c_v = a(xs), b(ys), c(vs)
+    eq_residual = _max_abs(a_x + b_y - c_v - d(us))
+    if not eq_residual <= grid.tol:
         raise InconsistencyError(
             f"oracle data violates the equation (max residual {eq_residual:.3e} "
             f"> tol {grid.tol:.1e})"
@@ -333,11 +321,13 @@ def olkin_baker_decompose(
     # scaling differences satisfy the additive Pexider equation
     fits = {}
     for s in (2.0, 3.0):
-        a_samples = [(x, a(s * x) - a(x)) for x in xs]
-        b_samples = [(y, b(s * y) - b(y)) for y in ys]
-        c_samples = [(v, c(s * v) - c(v)) for v in vs]
-        pex = pexider_fit(a_samples, b_samples, c_samples)
-        if pex.residual > 10.0 * grid.tol:
+        pex = pexider_fit(
+            algebra,
+            (xs, a(s * xs) - a_x),
+            (ys, b(s * ys) - b_y),
+            (vs, c(s * vs) - c_v),
+        )
+        if not pex.residual <= 10.0 * grid.tol:
             raise InconsistencyError(
                 f"scaling differences at s={s:g} are not additive-Pexider "
                 f"(residual {pex.residual:.3e})"
@@ -347,11 +337,12 @@ def olkin_baker_decompose(
     lam2 = fits[2.0].lam
     lam3_scaled = fits[3.0].lam / 2.0
     lam_defect = norm(lam2 - lam3_scaled) / max(1.0, norm(lam2))
-    if lam_defect > 100.0 * grid.tol:
+    if not lam_defect <= 100.0 * grid.tol:
         raise InconsistencyError(
             f"scale parameters from s=2 and s=3 disagree (relative {lam_defect:.3e})"
         )
     lam = 0.5 * (lam2 + lam3_scaled)
+    lam_row = algebra.inner_scale * lam.coords
 
     k1_pair = (fits[2.0].alpha / np.log(2.0), fits[3.0].alpha / np.log(3.0))
     k2_pair = (fits[2.0].beta / np.log(2.0), fits[3.0].beta / np.log(3.0))
@@ -359,75 +350,54 @@ def olkin_baker_decompose(
     k2 = float(np.mean(k2_pair))
 
     # strip the linear part; what remains is Cauchy up to a constant fixed at e
-    def a_bar(x: Element) -> float:
-        return a(x) - inner(lam, x)
+    c1 = float(a(e)[0] - e[0] @ lam_row)
+    c2 = float(b(e)[0] - e[0] @ lam_row)
+    c3 = float(c(e)[0] - e[0] @ lam_row)
 
-    def b_bar(x: Element) -> float:
-        return b(x) - inner(lam, x)
+    def e_raw(x: np.ndarray) -> np.ndarray:
+        return a(x) - x @ lam_row - c1
 
-    c1 = a_bar(e)
-    c2 = b_bar(e)
-    c3 = c(e) - inner(lam, e)
+    def f_raw(x: np.ndarray) -> np.ndarray:
+        return b(x) - x @ lam_row - c2
 
-    e_raw = lambda x: a_bar(x) - c1
-    f_raw = lambda x: b_bar(x) - c2
-
-    # constants for d, via the diagonal substitution and via points of the domain
-    half_e = 0.5 * e
-    c4_diag = d(half_e) - e_raw(unit.apply(half_e)) - f_raw(e - unit.apply(half_e))
-    c4_samples = []
-    for u in us[: min(len(us), 200)]:
-        v = unit.apply(u)
-        c4_samples.append(d(u) - e_raw(v) - f_raw(e - v))
-    c4 = float(np.mean(c4_samples)) if c4_samples else c4_diag
-    c4_spread = float(np.max(np.abs(np.array(c4_samples) - c4))) if c4_samples else 0.0
+    # constants for d, via the diagonal substitution (row 0) and via points of the domain
+    m = min(n, 200)
+    d_points = np.concatenate([0.5 * e, us[:m]])
+    d_images = unit.apply_batch(d_points)
+    e_d, f_d, d_vals = e_raw(d_images), f_raw(e - d_images), d(d_points)
+    c4_all = d_vals - e_d - f_d
+    c4 = float(np.mean(c4_all[1:]))
+    c4_spread = _max_abs(c4_all[1:] - c4)
 
     # limiting construction along the ladder, kept as a diagnostic of d
     ladder = np.asarray(grid.alpha_ladder, dtype=float)
-    limit_uncertainty = 0.0
-    g_residual = 0.0
-    d_half = d(half_e)
-    for u in us[: min(len(us), 8)]:
-        h_vals = np.array([d(alpha * u) - k1 * np.log(alpha) for alpha in ladder])
-        g_lim, unc = _richardson_limit(ladder, h_vals)
-        limit_uncertainty = max(limit_uncertainty, unc)
-        g_u = g_lim - (k1 + k2) * np.log(2.0) - d_half
-        for v in vs[:4]:
-            lhs = a_bar(multiply(w, v, u))
-            rhs = a_bar(v) + g_u
-            g_residual = max(g_residual, abs(lhs - rhs))
+    heads, tails = us[:8], vs[:4]
+    rungs = (heads[:, None, :] * ladder[None, :, None]).reshape(-1, algebra.dim)
+    h_vals = d(rungs).reshape(len(heads), len(ladder)) - k1 * np.log(ladder)
+    g_lim, unc = _richardson_limit(ladder, h_vals)
+    g_u = g_lim - (k1 + k2) * np.log(2.0) - d_vals[0]
+    # rows w(v_j) u_i, u_i-major, then the v_j themselves
+    products = w.apply_batch(np.tile(tails, (len(heads), 1)), np.repeat(heads, len(tails), axis=0))
+    probes = np.concatenate([products, tails])
+    a_bar = a(probes) - probes @ lam_row
+    lhs = a_bar[: -len(tails)].reshape(len(heads), len(tails))
+    g_residual = _max_abs(lhs - (a_bar[-len(tails):] + g_u[:, None]))
 
     # classify the recovered Cauchy parts and validate c on held-out structure
-    e_values = np.array([e_raw(x) for x in xs])
-    f_values = np.array([f_raw(y) for y in ys])
-    e_form, e_params, _, e_fit_resid, _ = _classify_log_cauchy(e_values, xs, frame, algebra)
-    f_form, f_params, _, f_fit_resid, _ = _classify_log_cauchy(f_values, ys, frame, algebra)
-
+    e_values = a_x - xs @ lam_row - c1
+    f_values = b_y - ys @ lam_row - c2
     form_tol = max(100.0 * grid.tol, 1e-6)
-    if e_form == FORM_LOG_DET_POWER and e_fit_resid <= form_tol:
-        e_fn = log_det_power(e_params["kappa"], algebra)
-    elif e_form == FORM_DELTA_S_LOG and e_fit_resid <= form_tol:
-        e_fn = delta_s_log(e_params["s"], frame)
-    else:
-        e_fn = LogCauchyFn(algebra, e_raw, FORM_CUSTOM, {"fit_residual": e_fit_resid})
-    if f_form == FORM_LOG_DET_POWER and f_fit_resid <= form_tol:
-        f_fn = log_det_power(f_params["kappa"], algebra)
-    elif f_form == FORM_DELTA_S_LOG and f_fit_resid <= form_tol:
-        f_fn = delta_s_log(f_params["s"], frame)
-    else:
-        f_fn = LogCauchyFn(algebra, f_raw, FORM_CUSTOM, {"fit_residual": f_fit_resid})
+    e_fn, e_fit_resid = _recovered_log_cauchy(e_values, xs, frame, e_raw, form_tol)
+    f_fn, f_fit_resid = _recovered_log_cauchy(f_values, ys, frame, f_raw, form_tol)
 
-    c_residual = 0.0
-    for v in vs[: min(len(vs), 200)]:
-        c_residual = max(c_residual, abs(c(v) - inner(lam, v) - e_raw(v) - f_raw(v) - c3))
+    held = vs[:m]
+    e_v, f_v = e_raw(held), f_raw(held)
+    c_residual = _max_abs(c(held) - held @ lam_row - e_v - f_v - c3)
 
     # reconstruction residual of the full equation with the recovered parts
-    recon = 0.0
-    for x, y, v, u in zip(xs[:200], ys[:200], vs[:200], us[:200]):
-        uv = unit.apply(u)
-        lhs = (inner(lam, x) + e_raw(x) + c1) + (inner(lam, y) + f_raw(y) + c2)
-        rhs = (inner(lam, v) + e_raw(v) + f_raw(v) + c3) + (e_raw(uv) + f_raw(e - uv) + c4)
-        recon = max(recon, abs(lhs - rhs))
+    lhs = (xs[:m] @ lam_row + e_values[:m] + c1) + (ys[:m] @ lam_row + f_values[:m] + c2)
+    rhs = (held @ lam_row + e_v + f_v + c3) + (e_d[1:] + f_d[1:] + c4)
+    recon = _max_abs(lhs - rhs)
     constant_defect = abs(c1 + c2 - c3 - c4)
     for label, value in (
         ("c", c_residual),
@@ -447,14 +417,14 @@ def olkin_baker_decompose(
         "lambda_consistency": lam_defect,
         "k1_pair": [float(k1_pair[0]), float(k1_pair[1])],
         "k2_pair": [float(k2_pair[0]), float(k2_pair[1])],
-        "c4_diagonal": float(c4_diag),
+        "c4_diagonal": float(c4_all[0]),
         "c4_spread": c4_spread,
-        "limit_uncertainty": float(limit_uncertainty),
-        "limit_equation_residual": float(g_residual),
-        "c_residual": float(c_residual),
-        "e_fit_residual": float(e_fit_resid),
-        "f_fit_residual": float(f_fit_resid),
-        "reconstruction_residual": float(recon),
+        "limit_uncertainty": _max_abs(unc),
+        "limit_equation_residual": g_residual,
+        "c_residual": c_residual,
+        "e_fit_residual": e_fit_resid,
+        "f_fit_residual": f_fit_resid,
+        "reconstruction_residual": recon,
         "n_points": grid.n_points,
     }
     return OBDecomposition(
@@ -463,10 +433,10 @@ def olkin_baker_decompose(
         k2=k2,
         e_fn=e_fn,
         f_fn=f_fn,
-        c1=float(c1),
-        c2=float(c2),
-        c3=float(c3),
-        c4=float(c4),
+        c1=c1,
+        c2=c2,
+        c3=c3,
+        c4=c4,
         diagnostics=diagnostics,
     )
 
@@ -497,12 +467,12 @@ def k_invariance_check(
 ) -> KInvarianceReport:
     """Measure (i) max |f(kx) - f(x)| over random rotations and (ii)
     max |f(x) - f(y)| over constructed pairs with det x = det y."""
-    k_residual = 0.0
-    equal_det_residual = 0.0
+    xs, kxs, ys = [], [], []
     for _ in range(n):
         x = random_cone_element(algebra, rng, 0.2, 5.0)
         k = random_automorphism_k(algebra, rng)
-        k_residual = max(k_residual, abs(f(k.apply(x)) - f(x)))
+        xs.append(x.coords)
+        kxs.append(k.apply(x).coords)
         if algebra.rank >= 2:
             sd = spectral_decompose(x)
             scale = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
@@ -512,5 +482,8 @@ def k_invariance_check(
             y = zero(algebra)
             for lam_i, ci in zip(lam, sd.frame):
                 y = y + float(lam_i) * ci
-            equal_det_residual = max(equal_det_residual, abs(f(x) - f(y)))
+            ys.append(y.coords)
+    f_x = f.evaluator(np.reshape(xs, (n, algebra.dim)))
+    k_residual = _max_abs(f.evaluator(np.reshape(kxs, (n, algebra.dim))) - f_x)
+    equal_det_residual = _max_abs(f.evaluator(np.array(ys)) - f_x) if ys else 0.0
     return KInvarianceReport(k_residual, equal_det_residual, n)

@@ -20,7 +20,6 @@ from .algebra import (
     Element,
     determinant,
     identity,
-    inner,
     norm,
     random_automorphism_k,
     require_in_cone,
@@ -33,6 +32,7 @@ from .errors import (
     InsufficientSampleError,
     ValidationError,
 )
+from .funceq import log_det_power
 
 DEFAULT_N_PERM = 500
 DEFAULT_MAX_POINTS = 1024
@@ -152,6 +152,8 @@ def factorization_residual(
 ) -> float:
     """Deviation of the joint density of (U, V) from a product of closed forms.
 
+    ``samples`` is a pair (x, y) of (n, dim) coordinate arrays of cone points.
+
     For matched models (shared scale parameter, functions multiplicative for
     the same w) the identity holds exactly and the residual is float noise.
     The closed forms for U and V are known only up to normalizing constants,
@@ -167,31 +169,17 @@ def factorization_residual(
                 f"models carry different scale parameters (gap {lam_gap:.3e}); "
                 "pass strict=False to measure the failure"
             )
-    lam = model_x.lam
-    e = identity(algebra)
-    unit = w.unit_image()
-    exponent = algebra.dim / algebra.rank
-    deltas = []
-    for x, y in samples:
-        v = x + y
-        u = divide(w, v, x)
-        lhs = (
-            exponent * np.log(determinant(v))
-            + model_x.mult_fn(x)
-            + inner(model_x.lam, x)
-            + model_y.mult_fn(y)
-            + inner(model_y.lam, y)
-        )
-        uu = unit.apply(u)
-        log_f_u = model_x.mult_fn(uu) + model_y.mult_fn(e - uu)
-        log_f_v = (
-            exponent * np.log(determinant(v))
-            + model_x.mult_fn(v)
-            + model_y.mult_fn(v)
-            + inner(lam, v)
-        )
-        deltas.append(lhs - (log_f_u + log_f_v))
-    deltas = np.array(deltas)
+    x, y = samples
+    v = x + y
+    uu = w.unit_image().apply_batch(w.solve_batch(v, x))
+    e = identity(algebra).coords
+    f_x, f_y = model_x.mult_fn.evaluator, model_y.mult_fn.evaluator
+    lam_x, lam_y = (algebra.inner_scale * model.lam.coords for model in (model_x, model_y))
+    jacobian = log_det_power(algebra.dim / algebra.rank, algebra).evaluator(v)
+    lhs = jacobian + f_x(x) + x @ lam_x + f_y(y) + y @ lam_y
+    log_f_u = f_x(uu) + f_y(e - uu)
+    log_f_v = jacobian + f_x(v) + f_y(v) + v @ lam_x
+    deltas = lhs - (log_f_u + log_f_v)
     return float(np.max(np.abs(deltas - deltas.mean()))) if len(deltas) else 0.0
 
 

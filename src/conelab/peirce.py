@@ -271,16 +271,23 @@ def principal_minor(x: Element, k: int, frame) -> float:
     return float(principal_minors(frame, x.coords[None, :])[0, k - 1])
 
 
-def generalized_power_log(x: Element, s, frame) -> float:
-    """log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x); needs Delta_k > 0."""
-    if not isinstance(frame, JordanFrame):
-        frame = JordanFrame(frame)
-    svec = exponent_vector(s, x.algebra.rank)
-    minors = principal_minors(frame, x.coords[None, :])[0]
+def batch_generalized_power_log(frame: JordanFrame, coords: np.ndarray, s) -> np.ndarray:
+    """log Delta_s of each row of an (n, dim) coordinate array, shape (n,).
+
+    log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x); needs every Delta_k > 0.
+    """
+    svec = exponent_vector(s, frame.algebra.rank)
+    minors = principal_minors(frame, coords)
     if np.any(minors <= 0.0):
         raise DomainError("generalized power needs all principal minors positive")
-    steps = svec - np.append(svec[1:], 0.0)
-    return float(np.dot(steps, np.log(minors)))
+    return np.log(minors) @ (svec - np.append(svec[1:], 0.0))
+
+
+def generalized_power_log(x: Element, s, frame) -> float:
+    """log Delta_s(x): one row of :func:`batch_generalized_power_log`."""
+    if not isinstance(frame, JordanFrame):
+        frame = JordanFrame(frame)
+    return float(batch_generalized_power_log(frame, x.coords[None, :], s)[0])
 
 
 def generalized_power(x: Element, s, frame) -> float:

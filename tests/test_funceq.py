@@ -17,7 +17,6 @@ def test_log_cauchy_vanishes_at_identity(rng):
     fns = [
         fe.log_det_power(0.9, a),
         fe.delta_s_log((1.5, 1.0, 0.5), frame),
-        fe.custom_log_cauchy(lambda x: alg.trace_det(x)[0], a),
         fe.zero_fn(a),
     ]
     for f in fns:
@@ -74,12 +73,14 @@ def test_pexider_fit_exact_recovery(rng):
     a = alg.lorentz(3)
     lam = alg.random_element(a, rng)
     alpha, beta = 0.7, -1.1
-    xs = [alg.random_cone_element(a, rng) for _ in range(30)]
-    ys = [alg.random_cone_element(a, rng) for _ in range(30)]
+    xs = np.array([alg.random_cone_element(a, rng).coords for _ in range(30)])
+    ys = np.array([alg.random_cone_element(a, rng).coords for _ in range(30)])
+    lam_row = a.inner_scale * lam.coords
     fit = fe.pexider_fit(
-        [(x, alg.inner(lam, x) + alpha) for x in xs],
-        [(y, alg.inner(lam, y) + beta) for y in ys],
-        [(x + y, alg.inner(lam, x + y) + alpha + beta) for x, y in zip(xs, ys)],
+        a,
+        (xs, xs @ lam_row + alpha),
+        (ys, ys @ lam_row + beta),
+        (xs + ys, (xs + ys) @ lam_row + alpha + beta),
     )
     assert alg.norm(fit.lam - lam) < 1e-8
     assert fit.alpha == pytest.approx(alpha, abs=1e-8)
@@ -89,31 +90,27 @@ def test_pexider_fit_exact_recovery(rng):
 
 def test_pexider_fit_zero_and_errors(rng):
     a = alg.sym_real(2)
-    xs = [alg.random_cone_element(a, rng) for _ in range(20)]
-    fit = fe.pexider_fit(
-        [(x, 0.0) for x in xs], [(x, 0.0) for x in xs], [(2.0 * x, 0.0) for x in xs]
-    )
+    xs = np.array([alg.random_cone_element(a, rng).coords for _ in range(20)])
+    zeros = np.zeros(len(xs))
+    fit = fe.pexider_fit(a, (xs, zeros), (xs, zeros), (2.0 * xs, zeros))
     assert alg.norm(fit.lam) < 1e-10 and abs(fit.alpha) < 1e-10 and abs(fit.beta) < 1e-10
+    empty = (np.empty((0, a.dim)), np.empty(0))
     with pytest.raises(FitError):
-        fe.pexider_fit([], [], [])
+        fe.pexider_fit(a, empty, empty, empty)
     with pytest.raises(FitError):
-        fe.pexider_fit([(xs[0], 1.0)], [(xs[0], 1.0)], [(xs[0], 2.0)])
+        fe.pexider_fit(a, (xs[:1], [1.0]), (xs[:1], [1.0]), (xs[:1], [2.0]))
 
 
 def test_pexider_fit_flags_violation(rng):
     a = alg.sym_real(2)
-    xs = [alg.random_cone_element(a, rng) for _ in range(40)]
-    ys = [alg.random_cone_element(a, rng) for _ in range(40)]
+    xs = np.array([alg.random_cone_element(a, rng).coords for _ in range(40)])
+    ys = np.array([alg.random_cone_element(a, rng).coords for _ in range(40)])
     lam = alg.random_element(a, rng)
 
     def quad(x):
-        return alg.inner(lam, x) + 0.05 * alg.inner(x, x)
+        return x @ lam.coords + 0.05 * np.sum(x * x, axis=1)
 
-    fit = fe.pexider_fit(
-        [(x, quad(x)) for x in xs],
-        [(y, quad(y)) for y in ys],
-        [(x + y, quad(x) + quad(y)) for x, y in zip(xs, ys)],
-    )
+    fit = fe.pexider_fit(a, (xs, quad(xs)), (ys, quad(ys)), (xs + ys, quad(xs) + quad(ys)))
     assert fit.residual > 1e-3
 
 
@@ -181,6 +178,44 @@ def test_decompose_lorentz_instance():
     assert dec.e_fn.params["kappa"] == pytest.approx(0.4, abs=1e-8)
 
 
+RECOVERY_CASES = [
+    (kind, spec, form)
+    for kind in ("herm_complex(2)", "lorentz(4)")
+    for spec, form in (
+        ("w1", fe.FORM_LOG_DET_POWER),
+        ("w2", fe.FORM_DELTA_S_LOG),
+        ("interp:0.25", fe.FORM_LOG_DET_POWER),
+        ("kext:w2:3", fe.FORM_LOG_DET_POWER),
+        ("kext:w2:3", fe.FORM_DELTA_S_LOG),
+    )
+]
+
+
+@pytest.mark.parametrize("kind,spec,form", RECOVERY_CASES)
+def test_decompose_recovers_every_kind_and_algorithm(kind, spec, form):
+    """Planted log-det parts solve every algorithm, Delta_s parts the triangular ones."""
+    a = alg.parse_algebra(kind)
+    frame = alg.standard_frame(a)
+    w = ma.parse_algorithm(spec, a, frame)
+    lam = -1.0 * alg.identity(a)
+    if form == fe.FORM_LOG_DET_POWER:
+        planted = (fe.log_det_power(0.7, a), fe.log_det_power(1.3, a))
+    else:
+        planted = (fe.delta_s_log((2.0, 1.0), frame), fe.delta_s_log((1.5, 0.5), frame))
+    dec = instance_roundtrip(a, w, lam, *planted, 0.1, -0.2, seed=11, n_points=500)
+    assert alg.norm(dec.lam - lam) < 1e-9
+    for got, want, drift in ((dec.e_fn, planted[0], dec.k1), (dec.f_fn, planted[1], dec.k2)):
+        assert got.declared_form == form
+        for key, value in want.params.items():
+            assert_allclose(got.params[key], value, atol=1e-9)
+        # a(sx) - a(x) drifts by k log s, with k the sum of the exponent vector
+        k = want.params["kappa"] * a.rank if form == fe.FORM_LOG_DET_POWER else sum(want.params["s"])
+        assert drift == pytest.approx(k, abs=1e-9)
+    assert dec.c1 == pytest.approx(0.1, abs=1e-9)
+    assert dec.c2 == pytest.approx(-0.2, abs=1e-9)
+    assert dec.constant_defect < 1e-9
+
+
 def test_decompose_rejects_inconsistent_data():
     a = alg.sym_real(2)
     w = ma.w1(a)
@@ -191,7 +226,7 @@ def test_decompose_rejects_inconsistent_data():
     a_fn, b_fn, c_fn, d_fn = oracles
 
     def a_bad(x):
-        return a_fn(x) + 0.02 * alg.inner(x, x)
+        return a_fn(x) + 0.02 * np.sum(x * x, axis=1)
 
     with pytest.raises(InconsistencyError):
         fe.olkin_baker_decompose(a_bad, b_fn, c_fn, d_fn, w, fe.GridSpec(n_points=200, seed=5))
@@ -208,10 +243,37 @@ def test_decompose_rejects_an_oracle_wrong_only_at_identity():
     )
 
     def c_bad(x):
-        return c_fn(x) + (1e-3 if np.array_equal(x.coords, e.coords) else 0.0)
+        return c_fn(x) + np.where(np.all(x == e.coords, axis=1), 1e-3, 0.0)
 
     with pytest.raises(InconsistencyError, match="residual 1.000e-03"):
         fe.olkin_baker_decompose(a_fn, b_fn, c_bad, d_fn, w, fe.GridSpec(n_points=300, seed=2))
+
+
+@pytest.mark.parametrize("first_bad_call", [0, 1], ids=["equation-check", "later-stage"])
+@pytest.mark.parametrize("role", "abcd")
+def test_decompose_rejects_an_oracle_with_nan_at_one_row(role, first_bad_call):
+    """A NaN at one grid row fails a gate, whichever stage first evaluates it."""
+    a = alg.sym_real(2)
+    frame = alg.standard_frame(a)
+    w = ma.w2(frame)
+    oracles = list(
+        fe.make_olkin_baker_instance(
+            -1.0 * alg.identity(a), fe.delta_s_log((2.0, 1.0), frame), fe.delta_s_log((1.5, 0.5), frame), w
+        )
+    )
+    clean = oracles["abcd".index(role)]
+    calls = []
+
+    def with_nan(x):
+        values = clean(x)
+        calls.append(len(x))
+        if len(calls) > first_bad_call and len(x) > 4:
+            values[4] = np.nan
+        return values
+
+    oracles["abcd".index(role)] = with_nan
+    with pytest.raises(InconsistencyError):
+        fe.olkin_baker_decompose(*oracles, w, fe.GridSpec(n_points=200, seed=5))
 
 
 def test_decompose_rejects_inhomogeneous_algorithm():

@@ -6,6 +6,7 @@ from conelab import _stats
 from conelab import algebra as alg
 from conelab import algorithms as ma
 from conelab import distributions as dist
+from conelab import funceq as fe
 from conelab import lukacs as lk
 from conelab.peirce import PowerExponent
 from conelab.errors import ContractError, DomainError, InsufficientSampleError
@@ -132,10 +133,7 @@ def test_factorization_matched_models(rng):
     for a in [alg.sym_real(2), alg.lorentz(3)]:
         w = ma.w1(a)
         mx, my, _ = make_models(a, w, rng=rng)
-        pairs = [
-            (alg.random_cone_element(a, rng), alg.random_cone_element(a, rng))
-            for _ in range(40)
-        ]
+        pairs = fe.draw_cone_pairs(a, 40, rng, 0.1, 10.0)
         assert lk.factorization_residual(mx, my, w, pairs) <= 1e-8
 
 
@@ -146,10 +144,7 @@ def test_factorization_riesz_triangular(rng):
     scale = alg.random_cone_element(a, rng, 0.8, 1.5)
     mx = dist.riesz_model(dist.RieszParams(PowerExponent.of((2.5, 1.2)), scale, frame), w)
     my = dist.riesz_model(dist.RieszParams(PowerExponent.of((1.8, 0.9)), scale, frame), w)
-    pairs = [
-        (alg.random_cone_element(a, rng), alg.random_cone_element(a, rng))
-        for _ in range(40)
-    ]
+    pairs = fe.draw_cone_pairs(a, 40, rng, 0.1, 10.0)
     assert lk.factorization_residual(mx, my, w, pairs) <= 1e-8
 
 
@@ -162,10 +157,7 @@ def test_factorization_mismatch_detected(rng):
     my_bad = dist.wishart_model(
         dist.WishartParams(my.riesz_params.s.values[0], shifted), w
     )
-    pairs = [
-        (alg.random_cone_element(a, rng), alg.random_cone_element(a, rng))
-        for _ in range(40)
-    ]
+    pairs = fe.draw_cone_pairs(a, 40, rng, 0.1, 10.0)
     with pytest.raises(ContractError):
         lk.factorization_residual(mx, my_bad, w, pairs)
     assert lk.factorization_residual(mx, my_bad, w, pairs, strict=False) > 0.01

@@ -1,11 +1,15 @@
 """Property tests on every kind up to the top ranks, standard and rotated frames.
 
-The scalar triangular decomposition and principal minors are one-row calls of
-the batched code; these tests hold them to their rows of a stacked batch, to
-the matrix leading minors, to the triangular roundtrip t_x e = x and to the
-identity Delta_k(x) = alpha_1 ... alpha_k between the minors and the
-triangular diagonal (Faraut & Korányi 1994, ch. VI).
+The scalar triangular decomposition, principal minors and log-Cauchy
+functions are one-row calls of the batched code; these tests hold them to
+their rows of a stacked batch, to the matrix leading minors, to the
+triangular roundtrip t_x e = x and to the identity
+Delta_k(x) = alpha_1 ... alpha_k between the minors and the triangular
+diagonal (Faraut & Korányi 1994, ch. VI).  The Olkin-Baker decomposition
+calls its oracles on whole arrays, a fixed number of times whatever the grid size.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conelab import algebra as alg
+from conelab import algorithms as ma
+from conelab import funceq as fe
 from conelab import peirce, triangular as tri
 
 KINDS = (
@@ -70,3 +76,42 @@ def test_minors_are_rows_of_the_batch_and_products_of_the_diagonal(a, rotated, s
             if a.kind == alg.SYM_REAL and not rotated:
                 want = np.linalg.det(x.to_matrix()[:k, :k])
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("a", KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_log_cauchy_rows_match_one_row_calls(a, rotated, seed):
+    frame, xs, coords = frame_and_points(a, rotated, seed)
+    s = np.random.default_rng(seed).uniform(-1.0, 3.0, a.rank)
+    for f in (fe.log_det_power(0.8, a), fe.delta_s_log(s, frame)):
+        values = f.evaluator(coords)
+        assert values.shape == (len(xs),)
+        for x, value in zip(xs, values):
+            assert f(x) == pytest.approx(value, rel=1e-12)
+
+
+def test_decompose_oracle_calls_do_not_grow_with_the_grid():
+    a = alg.lorentz(4)
+    frame = alg.standard_frame(a)
+    w = ma.w2(frame)
+    oracles = fe.make_olkin_baker_instance(
+        -1.0 * alg.identity(a), fe.delta_s_log((2.0, 1.0), frame), fe.delta_s_log((1.5, 0.5), frame), w
+    )
+    counts = []
+    for n_points in (200, 400):
+        calls = Counter()
+
+        def counted(fn, role):
+            def wrapped(x):
+                calls[role] += 1
+                return fn(x)
+
+            return wrapped
+
+        fe.olkin_baker_decompose(
+            *(counted(fn, role) for fn, role in zip(oracles, "abcd")), w, fe.GridSpec(n_points=n_points, seed=3)
+        )
+        counts.append(calls)
+    assert counts[0] == counts[1]
