@@ -630,41 +630,72 @@ def standard_frame(algebra: AlgebraDescriptor) -> JordanFrame:
 # ---------------------------------------------------------------------------
 
 
-def _haar_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def _haar_special_orthogonal(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-random rotations in SO(n), shape (count, n, n): QR of Gaussian
+    matrices with the signs of diag(R) moved into Q (Mezzadri 2007), det fixed to +1."""
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 0] = -q[flip, :, 0]
     return q
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _haar_unitary(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-random unitary matrices, shape (count, n, n)."""
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _random_k_images(algebra: AlgebraDescriptor, coords: np.ndarray, rng, count: int) -> np.ndarray:
+    """Rows k x_i for ``count`` Haar-random points k of K, one for all rows or one per row.
+
+    Matrix kinds conjugate by orthogonal or unitary matrices; the Lorentz kind
+    rotates the spatial part and keeps x_0.
+    """
+    if algebra.kind == LORENTZ:
+        rot = _haar_special_orthogonal(algebra.dim - 1, rng, count)
+        return np.concatenate((coords[:, :1], (rot @ coords[:, 1:, None])[:, :, 0]), axis=1)
+    q = (_haar_special_orthogonal if algebra.kind == SYM_REAL else _haar_unitary)(algebra.rank, rng, count)
+    return mats_to_coords(algebra, q @ coords_to_mats(algebra, coords) @ np.conj(np.swapaxes(q, 1, 2)))
 
 
 def random_automorphism_k(algebra: AlgebraDescriptor, rng: np.random.Generator) -> Endomorphism:
     """A random cone automorphism fixing e (a point of the compact group K)."""
-    dim = algebra.dim
-    basis = np.eye(dim)
-    if algebra.kind == LORENTZ:
-        rot = _haar_special_orthogonal(dim - 1, rng)
-        mat = np.zeros((dim, dim))
-        mat[0, 0] = 1.0
-        mat[1:, 1:] = rot
-        return Endomorphism(algebra, mat)
-    if algebra.kind == SYM_REAL:
-        o = _haar_special_orthogonal(algebra.rank, rng)
-        mats = coords_to_mats(algebra, basis)
-        out = o @ mats @ o.T
-    else:
-        u = _haar_unitary(algebra.rank, rng)
-        mats = coords_to_mats(algebra, basis)
-        out = u @ mats @ u.conj().T
-    return Endomorphism(algebra, mats_to_coords(algebra, out).T)
+    return Endomorphism(algebra, _random_k_images(algebra, np.eye(algebra.dim), rng, 1).T)
+
+
+def apply_random_k(algebra: AlgebraDescriptor, coords: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rows k_i x_i of an (n, dim) array, one Haar-random k_i in K per row, from one batched QR."""
+    return _random_k_images(algebra, coords, rng, len(coords))
+
+
+def _random_spectra(algebra, n, rng, low, high, log_uniform) -> np.ndarray:
+    """An (n, rank) array of iid eigenvalues from [low, high], log-uniform when asked."""
+    if not log_uniform:
+        return rng.uniform(low, high, size=(n, algebra.rank))
+    if low <= 0:
+        raise DomainError("log-uniform spectrum needs a positive interval")
+    return np.exp(rng.uniform(np.log(low), np.log(high), size=(n, algebra.rank)))
+
+
+def _place_spectra(algebra: AlgebraDescriptor, lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rows k_i(sum_j lam_ij c_j) over the standard frame, k_i Haar-random in K."""
+    return apply_random_k(algebra, lam @ np.array([c.coords for c in standard_frame(algebra)]), rng)
+
+
+def random_cone_points(
+    algebra: AlgebraDescriptor, n: int, rng: np.random.Generator, low=0.1, high=10.0, *, log_uniform=True
+) -> np.ndarray:
+    """(n, dim) cone points with spectra in [low, high] on Haar-random frames.
+
+    The generator fills the (n, rank) spectra first, then the n frames; so
+    :func:`random_cone_element` is the one-row call.
+    """
+    if low <= 0:
+        raise DomainError("cone elements need a positive spectrum")
+    return _place_spectra(algebra, _random_spectra(algebra, n, rng, low, high, log_uniform), rng)
 
 
 def random_element(
@@ -686,24 +717,14 @@ def random_element(
     if spectrum_spec is None:
         return Element(algebra, rng.standard_normal(algebra.dim))
     if isinstance(spectrum_spec, tuple) and len(spectrum_spec) == 2:
-        lo, hi = spectrum_spec
-        if log_uniform:
-            if lo <= 0:
-                raise DomainError("log-uniform spectrum needs a positive interval")
-            lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=algebra.rank))
-        else:
-            lam = rng.uniform(lo, hi, size=algebra.rank)
+        lam = _random_spectra(algebra, 1, rng, *spectrum_spec, log_uniform)
     else:
         lam = np.asarray(spectrum_spec, dtype=float)
         if lam.shape != (algebra.rank,):
             raise ValidationError(
                 f"spectrum has {lam.shape} entries, rank is {algebra.rank}"
             )
-    k = random_automorphism_k(algebra, rng)
-    diag = zero(algebra)
-    for lam_i, c in zip(lam, standard_frame(algebra)):
-        diag = diag + lam_i * c
-    return k.apply(diag)
+    return Element(algebra, _place_spectra(algebra, np.reshape(lam, (1, -1)), rng)[0])
 
 
 def random_cone_element(
@@ -714,10 +735,8 @@ def random_cone_element(
     *,
     log_uniform: bool = True,
 ) -> Element:
-    """Random point of the open cone with spectrum in [low, high]."""
-    if low <= 0:
-        raise DomainError("cone elements need a positive spectrum")
-    return random_element(algebra, rng, (low, high), log_uniform=log_uniform)
+    """Random point of the open cone with spectrum in [low, high]: one row of :func:`random_cone_points`."""
+    return Element(algebra, random_cone_points(algebra, 1, rng, low, high, log_uniform=log_uniform)[0])
 
 
 def axiom_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator) -> dict:

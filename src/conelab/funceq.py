@@ -18,14 +18,13 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     JordanFrame,
+    apply_random_k,
     batch_eigenvalues,
+    batch_spectrum,
     identity,
     norm,
-    random_automorphism_k,
-    random_cone_element,
-    spectral_decompose,
+    random_cone_points,
     standard_frame,
-    zero,
 )
 from .algorithms import MultiplicationAlgorithm
 from .errors import FitError, InconsistencyError, ValidationError
@@ -97,11 +96,9 @@ def _max_abs(values) -> float:
 
 
 def draw_cone_pairs(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator, low=0.2, high=5.0):
-    """Two (n, dim) arrays (x, y) of cone points, drawn x_1, y_1, x_2, y_2, ..."""
-    draws = np.array(
-        [random_cone_element(algebra, rng, low, high).coords for _ in range(2 * n)]
-    ).reshape(n, 2, algebra.dim)
-    return draws[:, 0], draws[:, 1]
+    """Two (n, dim) arrays (x, y) of cone points: the halves of one 2n-row draw."""
+    draws = random_cone_points(algebra, 2 * n, rng, low, high)
+    return draws[:n], draws[n:]
 
 
 def wlog_residual(f: LogCauchyFn, w: MultiplicationAlgorithm, samples) -> float:
@@ -302,10 +299,7 @@ def olkin_baker_decompose(
     frame = w.frame if w.frame is not None else standard_frame(algebra)
 
     n = grid.n_points
-    draws = np.array(
-        [random_cone_element(algebra, rng, grid.low, grid.high).coords for _ in range(2 * n)]
-    ).reshape(2 * n, algebra.dim)
-    xs, ys = draws[:n], draws[n:]
+    xs, ys = draw_cone_pairs(algebra, n, rng, grid.low, grid.high)
     vs = xs + ys
     us = w.solve_batch(vs, xs)
 
@@ -466,24 +460,15 @@ def k_invariance_check(
     f: LogCauchyFn, algebra: AlgebraDescriptor, rng: np.random.Generator, n: int
 ) -> KInvarianceReport:
     """Measure (i) max |f(kx) - f(x)| over random rotations and (ii)
-    max |f(x) - f(y)| over constructed pairs with det x = det y."""
-    xs, kxs, ys = [], [], []
-    for _ in range(n):
-        x = random_cone_element(algebra, rng, 0.2, 5.0)
-        k = random_automorphism_k(algebra, rng)
-        xs.append(x.coords)
-        kxs.append(k.apply(x).coords)
-        if algebra.rank >= 2:
-            sd = spectral_decompose(x)
-            scale = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
-            lam = sd.eigenvalues.copy()
-            lam[0] *= scale
-            lam[1] /= scale
-            y = zero(algebra)
-            for lam_i, ci in zip(lam, sd.frame):
-                y = y + float(lam_i) * ci
-            ys.append(y.coords)
-    f_x = f.evaluator(np.reshape(xs, (n, algebra.dim)))
-    k_residual = _max_abs(f.evaluator(np.reshape(kxs, (n, algebra.dim))) - f_x)
-    equal_det_residual = _max_abs(f.evaluator(np.array(ys)) - f_x) if ys else 0.0
+    max |f(x) - f(y)| over constructed pairs with det x = det y; each draw is one batch."""
+    x = random_cone_points(algebra, n, rng, 0.2, 5.0)
+    f_x = f.evaluator(x)
+    k_residual = _max_abs(f.evaluator(apply_random_k(algebra, x, rng)) - f_x)
+    equal_det_residual = 0.0
+    if algebra.rank >= 2:
+        lam, rebuild = batch_spectrum(algebra, x)
+        scale = np.exp(rng.uniform(np.log(0.5), np.log(2.0), n))
+        lam[:, 0] *= scale
+        lam[:, 1] /= scale
+        equal_det_residual = _max_abs(f.evaluator(rebuild(lam)) - f_x)
     return KInvarianceReport(k_residual, equal_det_residual, n)

@@ -280,3 +280,43 @@ def test_batch_spectral_map_lorentz_axis_point():
     coords = np.array([[2.0, 0.0, 0.0, 0.0]])
     assert_allclose(alg.batch_eigenvalues(a, coords), [[2.0, 2.0]])
     assert_allclose(alg.batch_spectral_map(a, coords, np.sqrt), [[np.sqrt(2.0), 0.0, 0.0, 0.0]])
+
+
+# The scalar draws of seed 2024, recorded before the draws were batched: each
+# scalar call is one row of the batched draw and consumes the same generator
+# stream, so these values pin every test and report still drawn point by point.
+# "k" is random_automorphism_k applied to (1, 2, ..., dim).
+SCALAR_DRAWS_2024 = {
+    "sym_real(3)": {
+        "cone": [1.1062674004329864, 0.9576285568027304, 0.8675470866520942, -1.0625712234472318, -0.8725512369635681, 0.7151031286076034],
+        "interval": [1.2332985445488596, 0.6693205752890972, 0.6110004413159317, 0.3379546313733116, 0.15117589156937822, 0.1713721097170391],
+        "explicit": [2.56303131945804, 2.0093135883626667, 1.4276550921792928, -0.9193113490489461, -0.5049891857890343, -0.5051562754423512],
+        "k": [-1.0449727283026276, -0.7313831706434901, 7.776355898946119, -0.6850259285437375, -2.713564440349269, 4.590066131661275],
+    },
+    "herm_complex(3)": {
+        "cone": [1.0664913609223374, 0.8327839003830901, 1.0321677825823827, -0.7436893623139088, -0.045633603154924984, 0.354719327337756, -0.9975534997808877, -0.16914188960482646, 0.8332385461831204],
+        "interval": [1.125984719403438, 1.3865665461420607, 1.381035944896112, -0.363694570360722, -0.11518838680476477, 0.2339695431938926, 0.05433463848388199, -0.3391805088000973, -0.2551145104160805],
+        "explicit": [1.5812619495499252, 1.6659506581849777, 2.752787392265097, 0.4591063556808317, 0.43211926745089596, -0.40829538594349163, 0.4321523206567045, 0.5106790822848081, -0.36690740213455547],
+        "k": [10.042066217348529, -5.597339131612106, 1.555272914263577, -0.8029631554865664, -5.746814224065459, 6.448192142352922, 8.167041991352043, 2.1820328605248047, 1.922544964795295],
+    },
+    "lorentz(5)": {
+        "cone": [1.2578121501882034, 0.6268109245091958, 0.2783277339356183, -0.6054916838531171, -0.23852558302321752, -0.29194167512337993],
+        "interval": [0.9035679485416234, 0.054303271716672444, -0.13237233496668369, -0.08766087165477203, -0.23241614142233444, 0.07862429806692889],
+        "explicit": [2.0, -0.8612393902704816, 0.1441913518113349, 0.30701670400578707, -0.0951106288064339, -0.3662926131644162],
+        "k": [1.0, 6.262089783709153, -0.5820218157468915, 2.689077367223656, 1.743199945952429, -6.338580204452501],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DRAWS_2024))
+def test_scalar_draws_keep_their_stream(name):
+    a = alg.parse_algebra(name)
+    rng = np.random.default_rng(2024)
+    got = {
+        "cone": alg.random_cone_element(a, rng).coords,
+        "interval": alg.random_element(a, rng, (0.5, 2.0)).coords,
+        "explicit": alg.random_element(a, rng, np.linspace(3.0, 1.0, a.rank)).coords,
+        "k": alg.random_automorphism_k(a, rng).matrix @ np.arange(1.0, a.dim + 1),
+    }
+    for key, want in SCALAR_DRAWS_2024[name].items():
+        assert_allclose(got[key], want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)), err_msg=key)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conelab import algebra as alg
 from conelab import algorithms as ma
+from conelab import cli
 from conelab.errors import DomainError, ValidationError
 
 from conftest import ALGEBRAS
@@ -112,6 +115,29 @@ def test_check_algorithm_homogeneous_cases(a):
         assert report.divide_scaling <= 1e-9
         assert report.ddet_rel <= 1e-8
         assert report.homogeneous
+
+
+def test_a_nan_evaluation_fails_check_algorithm_and_the_mult_alg_suite():
+    # w(x) is all NaN on the third evaluation only, the second sample's w(x)
+    a = alg.sym_real(2)
+    base = ma.w1(a)
+
+    def nan_on_third_call():
+        calls = [0]
+
+        def evaluate(x):
+            calls[0] += 1
+            w_x = base.evaluator(x)
+            return alg.Endomorphism(a, np.full_like(w_x.matrix, np.nan)) if calls[0] == 3 else w_x
+
+        return dataclasses.replace(base, evaluator=evaluate)
+
+    with np.errstate(invalid="ignore"):
+        report = ma.check_algorithm(nan_on_third_call(), 10, np.random.default_rng(0))
+        checks = cli.suite_mult_alg(a, nan_on_third_call(), np.random.default_rng(0), 10, cli.DEFAULT_TOLERANCES)
+    assert np.isnan(report.neutrality)
+    assert np.isnan(report.homogeneity) and not report.homogeneous
+    assert not checks["neutrality"]["passed"]
 
 
 def test_piecewise_algorithm_is_valid_but_not_homogeneous():

@@ -7,6 +7,9 @@ triangular roundtrip t_x e = x and to the identity
 Delta_k(x) = alpha_1 ... alpha_k between the minors and the triangular
 diagonal (Faraut & Korányi 1994, ch. VI).  The Olkin-Baker decomposition
 calls its oracles on whole arrays, a fixed number of times whatever the grid size.
+The batched cone-point draw keeps every row's spectrum in its interval and
+its rows average to E[lambda] e; the K-orbit of a point averages to a
+multiple of e, and the batched rotations have determinant one.
 """
 
 from collections import Counter
@@ -115,3 +118,44 @@ def test_decompose_oracle_calls_do_not_grow_with_the_grid():
         )
         counts.append(calls)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("log_uniform", [True, False], ids=["log_uniform", "uniform"])
+@pytest.mark.parametrize("a", KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_cone_points_have_their_spectrum_in_the_interval(a, log_uniform, seed):
+    rng = np.random.default_rng(seed)
+    low, high = np.sort(np.exp(rng.uniform(-3.0, 3.0, 2)))
+    points = alg.random_cone_points(a, 200, rng, low, high, log_uniform=log_uniform)
+    assert points.shape == (200, a.dim)
+    lam = alg.batch_eigenvalues(a, points)
+    assert lam.min() > 0.0
+    assert lam.min() >= low * (1.0 - 1e-12)
+    assert lam.max() <= high * (1.0 + 1e-12)
+
+
+def assert_mean_within_5_se(rows, want):
+    # a coordinate that does not vary (x_0 of a Lorentz orbit) may miss by rounding alone
+    se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
+    assert np.all(np.abs(rows.mean(axis=0) - want) <= 5.0 * se + 1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(4), alg.herm_complex(3), alg.lorentz(6)], ids=lambda a: a.name)
+def test_cone_points_average_to_the_mean_eigenvalue_times_e(a):
+    # E[x] = E[lambda] e, with E[lambda] = (high - low) / log(high / low) for the log-uniform law
+    low, high, n = 0.2, 5.0, 20_000
+    rng = np.random.default_rng(17)
+    e = alg.identity(a).coords
+    assert_mean_within_5_se(alg.random_cone_points(a, n, rng, low, high), (high - low) / np.log(high / low) * e)
+    # the frames are Haar: the K-orbit of one fixed point averages to (tr p / r) e
+    p = alg.random_cone_element(a, rng, low, high)
+    rotated = alg.apply_random_k(a, np.tile(p.coords, (n, 1)), rng)
+    assert_mean_within_5_se(rotated, alg.trace(p) / a.rank * e)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 15])
+def test_batched_haar_rotations_have_determinant_one(n):
+    q = alg._haar_special_orthogonal(n, np.random.default_rng(5), 200)
+    assert_allclose(q @ np.swapaxes(q, 1, 2), np.broadcast_to(np.eye(n), q.shape), atol=1e-12)
+    assert_allclose(np.linalg.det(q), 1.0, rtol=1e-12)
