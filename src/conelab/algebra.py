@@ -260,12 +260,12 @@ def mats_to_coords(algebra: AlgebraDescriptor, mats: np.ndarray) -> np.ndarray:
 
 
 def batch_jordan_product(algebra: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jordan product on (n, dim) coordinate batches."""
+    """Jordan product on (n, dim) coordinate batches; a batch of one row is broadcast."""
     if algebra.is_matrix_kind:
         ma = coords_to_mats(algebra, a)
         mb = coords_to_mats(algebra, b)
         return mats_to_coords(algebra, 0.5 * (ma @ mb + mb @ ma))
-    out = np.empty_like(a)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     out[:, 0] = np.sum(a * b, axis=1)
     out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
     return out

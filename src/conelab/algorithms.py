@@ -5,10 +5,12 @@ w(x) e = x.  The two canonical constructions are the quadratic one
 (w1: x -> P(x^{1/2})) and the triangular one (w2: x -> t_x); ``interp``
 blends them and ``k_extended`` post-composes with a fixed rotation.
 
-Every algorithm evaluates w(x) as an endomorphism for one point, and
-applies w(x) or g(x) = w(x)^{-1} to (n, dim) coordinate batches through
-:meth:`MultiplicationAlgorithm.apply_batch` and
-:meth:`MultiplicationAlgorithm.solve_batch`.
+An algorithm is defined only by its two row maps, which apply w(x) or
+g(x) = w(x)^{-1} to (n, dim) coordinate batches
+(:meth:`MultiplicationAlgorithm.apply_batch` and
+:meth:`MultiplicationAlgorithm.solve_batch`).  Everything else is derived
+from them: the matrix w(x) is the image of the coordinate basis under one
+broadcast x row, and :func:`multiply` and :func:`divide` are one-row calls.
 """
 
 from __future__ import annotations
@@ -28,18 +30,15 @@ from .algebra import (
     batch_quad_rep,
     determinant,
     eigenvalues,
-    element_power,
     identity,
     norm,
-    quad_rep,
     random_automorphism_k,
     random_cone_element,
     require_in_cone,
-    sqrt_element,
     standard_frame,
 )
 from .errors import ValidationError
-from .triangular import as_endomorphism, batch_triangular_decompose, triangular_decompose
+from .triangular import batch_triangular_decompose
 
 BatchMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -48,14 +47,14 @@ BatchMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class MultiplicationAlgorithm:
     """A map x -> w(x) in the automorphism group with w(x) e = x.
 
-    ``evaluator`` builds w(x) for one point; ``batch_apply`` and
-    ``batch_solve`` map coordinate rows (x_i, y_i) to w(x_i) y_i and
-    g(x_i) y_i without forming w(x_i).
+    ``batch_apply`` and ``batch_solve`` map coordinate rows (x_i, y_i) to
+    w(x_i) y_i and g(x_i) y_i without forming w(x_i); a single x row is
+    broadcast over every y row.  Calling the algorithm on one point builds
+    the matrix w(x) from ``batch_apply``.
     """
 
     kind: str
     algebra: AlgebraDescriptor
-    evaluator: Callable[[Element], Endomorphism] = field(repr=False)
     batch_apply: BatchMap = field(repr=False)
     batch_solve: BatchMap = field(repr=False)
     homogeneous: bool = True
@@ -65,10 +64,13 @@ class MultiplicationAlgorithm:
 
     def __call__(self, x: Element) -> Endomorphism:
         require_in_cone(x, "multiplication algorithm argument")
-        return self.evaluator(x)
+        # column j is w(x) b_j: one x row against the rows of the coordinate basis
+        columns = self.batch_apply(x.coords[None, :], np.eye(self.algebra.dim))
+        return Endomorphism(self.algebra, columns.T)
 
     def apply_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Rows w(x_i) y_i for (n, dim) arrays; DomainError when an x_i leaves the cone."""
+        """Rows w(x_i) y_i for (n, dim) y and x of n rows or of one row, broadcast;
+        DomainError when an x_i leaves the cone."""
         return self.batch_apply(*self._rows(x, y))
 
     def solve_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,16 +80,18 @@ class MultiplicationAlgorithm:
     def _rows(self, x, y) -> tuple:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.algebra.dim or x.shape != y.shape:
+        dim = self.algebra.dim
+        shapes_ok = x.ndim == 2 and y.ndim == 2 and x.shape[1] == dim == y.shape[1]
+        if not shapes_ok or len(x) not in (1, len(y)):
             raise ValidationError(
-                f"expected two (n, {self.algebra.dim}) coordinate arrays, "
+                f"expected (n, {dim}) coordinate arrays x and y, or x of one row, "
                 f"got {x.shape} and {y.shape}"
             )
         return x, y
 
     def unit_image(self) -> Endomorphism:
         """w(e); the identity for w1/w2/interp, the fixed rotation for k_extended."""
-        return self.evaluator(identity(self.algebra))
+        return self(identity(self.algebra))
 
 
 def _quad_power_rows(algebra: AlgebraDescriptor, p: float) -> BatchMap:
@@ -104,7 +108,6 @@ def w1(algebra: AlgebraDescriptor) -> MultiplicationAlgorithm:
     return MultiplicationAlgorithm(
         kind="w1",
         algebra=algebra,
-        evaluator=lambda x: quad_rep(sqrt_element(x)),
         batch_apply=_quad_power_rows(algebra, 0.5),
         batch_solve=_quad_power_rows(algebra, -0.5),
         homogeneous=True,
@@ -119,7 +122,6 @@ def w2(frame) -> MultiplicationAlgorithm:
     return MultiplicationAlgorithm(
         kind="w2",
         algebra=frame.algebra,
-        evaluator=lambda x: as_endomorphism(triangular_decompose(x, frame)),
         batch_apply=lambda x, y: batch_triangular_decompose(x, frame).apply(y),
         batch_solve=lambda x, y: batch_triangular_decompose(x, frame).solve(y),
         homogeneous=True,
@@ -133,14 +135,6 @@ def interp(alpha: float, frame) -> MultiplicationAlgorithm:
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     alpha = float(alpha)
-
-    def evaluate(x: Element) -> Endomorphism:
-        head = quad_rep(element_power(x, alpha))
-        tail = as_endomorphism(
-            triangular_decompose(element_power(x, 1.0 - 2.0 * alpha), frame)
-        )
-        return head @ tail
-
     algebra = frame.algebra
 
     def apply_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -155,7 +149,6 @@ def interp(alpha: float, frame) -> MultiplicationAlgorithm:
     return MultiplicationAlgorithm(
         kind="interp",
         algebra=algebra,
-        evaluator=evaluate,
         batch_apply=apply_rows,
         batch_solve=solve_rows,
         homogeneous=True,
@@ -177,7 +170,6 @@ def k_extended(base: MultiplicationAlgorithm, k: Endomorphism, spec: str = "") -
     return MultiplicationAlgorithm(
         kind="kext",
         algebra=base.algebra,
-        evaluator=lambda x: base.evaluator(x) @ k,
         batch_apply=lambda x, y: base.batch_apply(x, y @ k_t),
         batch_solve=lambda x, y: base.batch_solve(x, y) @ k_inv_t,
         homogeneous=base.homogeneous,
@@ -193,12 +185,9 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
     quad = w1(frame.algebra)
     tri = w2(frame)
 
-    def evaluate(x: Element) -> Endomorphism:
-        branch = quad if determinant(x) > 1.0 else tri
-        return branch.evaluator(x)
-
     def split(quad_rows: BatchMap, tri_rows: BatchMap) -> BatchMap:
         def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            x = np.broadcast_to(x, y.shape)
             upper = np.prod(batch_eigenvalues(frame.algebra, x), axis=1) > 1.0
             out = np.empty_like(y)
             for mask, branch_rows in ((upper, quad_rows), (~upper, tri_rows)):
@@ -211,7 +200,6 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
     return MultiplicationAlgorithm(
         kind="piecewise",
         algebra=frame.algebra,
-        evaluator=evaluate,
         batch_apply=split(quad.batch_apply, tri.batch_apply),
         batch_solve=split(quad.batch_solve, tri.batch_solve),
         homogeneous=False,
@@ -257,13 +245,13 @@ def parse_algorithm(spec: str, algebra: AlgebraDescriptor, frame=None) -> Multip
 
 
 def multiply(w: MultiplicationAlgorithm, x: Element, y: Element) -> Element:
-    """w(x) applied to y; multiply(w, x, e) = x."""
-    return w(x).apply(y)
+    """w(x) y as a one-row apply_batch; multiply(w, x, e) = x."""
+    return Element(y.algebra, w.apply_batch(x.coords[None, :], y.coords[None, :])[0])
 
 
 def divide(w: MultiplicationAlgorithm, x: Element, y: Element) -> Element:
-    """g(x) y with g = w^{-1}; divide(w, x, x) = e."""
-    return w(x).solve(y)
+    """g(x) y with g = w^{-1}, as a one-row solve_batch; divide(w, x, x) = e."""
+    return Element(y.algebra, w.solve_batch(x.coords[None, :], y.coords[None, :])[0])
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,10 @@ def inverse_map(u: Element, v: Element, w: MultiplicationAlgorithm):
     if not in_domain_D(u):
         raise DomainError("first argument must lie in the domain D")
     require_in_cone(v, "second argument")
-    e = identity(u.algebra)
-    wv = w(v)
-    return wv.apply(u), wv.apply(e - u)
+    algebra = u.algebra
+    rows = np.stack([u.coords, identity(algebra).coords - u.coords])
+    x, y = w.apply_batch(v.coords[None, :], rows)
+    return Element(algebra, x), Element(algebra, y)
 
 
 def jacobian_check(
@@ -80,7 +81,8 @@ def jacobian_check(
     """Analytic Jacobian (det v)^(dim/r) of the inverse map versus central differences.
 
     The numeric value is the determinant of the full 2*dim x 2*dim derivative
-    of (u, v) -> (w(v) u, w(v)(e - u)) assembled column by column.
+    of (u, v) -> (w(v) u, w(v)(e - u)); the whole central-difference stencil
+    is evaluated by two calls of ``w.apply_batch``.
     """
     if fd_step <= 0:
         raise ValidationError("finite-difference step must be positive")
@@ -96,31 +98,24 @@ def jacobian_check(
         raise DomainError("the auxiliary point must lie in the domain D")
     analytic = determinant(v) ** (algebra.dim / algebra.rank)
     dim = algebra.dim
-    e = identity(algebra)
-
-    def forward(u_coords: np.ndarray, v_coords: np.ndarray) -> np.ndarray:
-        uu = Element(algebra, u_coords)
-        vv = Element(algebra, v_coords)
-        wv = w(vv)
-        return np.concatenate(
-            [wv.apply(uu).coords, wv.apply(e - uu).coords]
-        )
-
+    e = identity(algebra).coords
     h_u = fd_step * (1.0 + norm(u))
     h_v = fd_step * (1.0 + norm(v))
     if h_u == 0.0 or h_v == 0.0 or 1.0 + h_u == 1.0 or 1.0 + h_v == 1.0:
         raise ArithmeticError("finite-difference step underflowed")
-    jac = np.zeros((2 * dim, 2 * dim))
-    for k in range(dim):
-        delta = np.zeros(dim)
-        delta[k] = h_u
-        jac[:, k] = (
-            forward(u.coords + delta, v.coords) - forward(u.coords - delta, v.coords)
-        ) / (2.0 * h_u)
-        delta[k] = h_v
-        jac[:, dim + k] = (
-            forward(u.coords, v.coords + delta) - forward(u.coords, v.coords - delta)
-        ) / (2.0 * h_v)
+    # the stencil rows u +/- h_u b_k and v +/- h_v b_k, plus signs first
+    us = np.concatenate([u.coords + h_u * np.eye(dim), u.coords - h_u * np.eye(dim)])
+    vs = np.concatenate([v.coords + h_v * np.eye(dim), v.coords - h_v * np.eye(dim)])
+    # (w(v) u, w(v)(e - u)) at the u stencil with v fixed, then at the v stencil with u fixed
+    at_v = w.apply_batch(v.coords[None, :], np.concatenate([us, e - us]))
+    at_u = w.apply_batch(
+        np.concatenate([vs, vs]), np.repeat([u.coords, e - u.coords], 2 * dim, axis=0)
+    )
+    columns = []
+    for images, h in ((at_v, h_u), (at_u, h_v)):
+        forward = np.hstack([images[: 2 * dim], images[2 * dim :]])
+        columns.append((forward[:dim] - forward[dim:]).T / (2.0 * h))
+    jac = np.hstack(columns)
     numeric = float(np.linalg.det(jac))
     return float(analytic), numeric
 

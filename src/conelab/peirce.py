@@ -242,33 +242,35 @@ def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def principal_minors(frame: JordanFrame, coords: np.ndarray) -> np.ndarray:
-    """Minors Delta_1 .. Delta_r of each row of an (n, dim) coordinate array, shape (n, r).
+def _minor_rows(frame: JordanFrame, coords: np.ndarray, k: int) -> np.ndarray:
+    """Delta_k of each row of an (n, dim) coordinate array, shape (n,).
 
     Delta_k is the subalgebra determinant of the projection onto the
     subalgebra of c_1 + ... + c_k.  That projection has the subalgebra
     spectrum plus r - k exact zeros, so Delta_k is the product of its k
-    eigenvalues of largest absolute value; Delta_r is the determinant.
+    eigenvalues of largest absolute value.  Delta_r is the determinant; its
+    projection, the identity, is skipped, since the rounded matrix would move
+    the last bits.
     """
-    algebra = frame.algebra
-    r = len(frame)
-    rows = np.arange(len(coords))[:, None]
-    minors = np.empty((len(coords), r))
-    for k in range(1, r):
-        lam = batch_eigenvalues(algebra, coords @ frame.leading_projector(k).matrix.T)
-        order = np.argsort(-np.abs(lam), axis=1, kind="stable")
-        minors[:, k - 1] = lam[rows, order[:, :k]].prod(axis=1)
-    minors[:, r - 1] = batch_eigenvalues(algebra, coords).prod(axis=1)
-    return minors
+    if k < len(frame):
+        coords = coords @ frame.leading_projector(k).matrix.T
+    lam = batch_eigenvalues(frame.algebra, coords)
+    order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+    return np.take_along_axis(lam, order[:, :k], axis=1).prod(axis=1)
+
+
+def principal_minors(frame: JordanFrame, coords: np.ndarray) -> np.ndarray:
+    """Minors Delta_1 .. Delta_r of each row of an (n, dim) coordinate array, shape (n, r)."""
+    return np.stack([_minor_rows(frame, coords, k) for k in range(1, len(frame) + 1)], axis=1)
 
 
 def principal_minor(x: Element, k: int, frame) -> float:
-    """Minor of order k of x: one row of :func:`principal_minors`."""
+    """Minor of order k of x: one row of :func:`principal_minors`, computing that order alone."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     if not 1 <= k <= x.algebra.rank:
         raise ValidationError(f"minor order {k} outside 1..{x.algebra.rank}")
-    return float(principal_minors(frame, x.coords[None, :])[0, k - 1])
+    return float(_minor_rows(frame, x.coords[None, :], k)[0])
 
 
 def batch_generalized_power_log(frame: JordanFrame, coords: np.ndarray, s) -> np.ndarray:

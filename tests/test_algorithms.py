@@ -118,19 +118,20 @@ def test_check_algorithm_homogeneous_cases(a):
 
 
 def test_a_nan_evaluation_fails_check_algorithm_and_the_mult_alg_suite():
-    # w(x) is all NaN on the third evaluation only, the second sample's w(x)
+    # the rows are all NaN on the third batch_apply call only; each w(x) is one
+    # call, so that is the second sample's w(x)
     a = alg.sym_real(2)
     base = ma.w1(a)
 
     def nan_on_third_call():
         calls = [0]
 
-        def evaluate(x):
+        def apply_rows(x, y):
             calls[0] += 1
-            w_x = base.evaluator(x)
-            return alg.Endomorphism(a, np.full_like(w_x.matrix, np.nan)) if calls[0] == 3 else w_x
+            rows = base.batch_apply(x, y)
+            return np.full_like(rows, np.nan) if calls[0] == 3 else rows
 
-        return dataclasses.replace(base, evaluator=evaluate)
+        return dataclasses.replace(base, batch_apply=apply_rows)
 
     with np.errstate(invalid="ignore"):
         report = ma.check_algorithm(nan_on_third_call(), 10, np.random.default_rng(0))
@@ -227,6 +228,8 @@ def test_batch_maps_reject_points_outside_the_cone_and_bad_shapes(rng):
                     method(bad, good)
                 with pytest.raises(ValidationError):
                     method(good, good[:3])
+                with pytest.raises(ValidationError):
+                    method(good[:2], good[:3])  # x must have one row or one per y row
                 with pytest.raises(ValidationError):
                     method(good[0], good[0])
 

@@ -154,6 +154,18 @@ def test_suite_peirce_flags_a_broken_jordan_product(monkeypatch, product, failin
         assert failed == set()
 
 
+@pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
+def test_suite_peirce_constant_power_det_flags_scaled_eigenvalues(monkeypatch, a):
+    """Eigenvalues scaled by 1.001 in every binding the suite reads break Delta_(p,..,p) = det^p."""
+    def scaled(algebra, coords):
+        return 1.001 * alg.batch_eigenvalues(algebra, coords)
+
+    for module in (peirce, cli):
+        monkeypatch.setattr(module, "batch_eigenvalues", scaled)
+    checks = cli.suite_peirce(a, None, np.random.default_rng(5), 40, cli.DEFAULT_TOLERANCES)
+    assert not checks["constant_power_det"]["passed"]
+
+
 def test_principal_minor_leading_minor_oracle(rng):
     a = alg.sym_real(3)
     frame = alg.standard_frame(a)

@@ -9,7 +9,11 @@ diagonal (Faraut & Korányi 1994, ch. VI).  The Olkin-Baker decomposition
 calls its oracles on whole arrays, a fixed number of times whatever the grid size.
 The batched cone-point draw keeps every row's spectrum in its interval and
 its rows average to E[lambda] e; the K-orbit of a point averages to a
-multiple of e, and the batched rotations have determinant one.
+multiple of e, and the batched rotations have determinant one.  A
+multiplication algorithm is only its two row maps; the matrix w(x) built
+from them matches the closed forms P(x^{1/2}), t_x, P(x^a) t_{x^{1-2a}} and
+w(x) k (Olkin & Rubin 1962; Faraut & Korányi 1994, ch. VI), and one
+broadcast x row gives the rows of the tiled call.
 """
 
 from collections import Counter
@@ -93,6 +97,44 @@ def test_log_cauchy_rows_match_one_row_calls(a, rotated, seed):
         assert values.shape == (len(xs),)
         for x, value in zip(xs, values):
             assert f(x) == pytest.approx(value, rel=1e-12)
+
+
+def reference_w(w, x):
+    """The closed form of w(x), built from quad_rep and the triangular group element."""
+    frame = w.frame
+    if w.kind == "w1":
+        return alg.quad_rep(alg.element_power(x, 0.5))
+    if w.kind == "w2":
+        return tri.as_endomorphism(tri.triangular_decompose(x, frame))
+    if w.kind == "interp":
+        tail = tri.triangular_decompose(alg.element_power(x, 1.0 - 2.0 * w.alpha), frame)
+        return alg.quad_rep(alg.element_power(x, w.alpha)) @ tri.as_endomorphism(tail)
+    # piecewise: w1 where det x > 1, w2 elsewhere
+    return reference_w(ma.w1(x.algebra) if alg.determinant(x) > 1.0 else ma.w2(frame), x)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("a", KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_w_of_x_from_the_row_maps_matches_its_closed_form(a, rotated, seed):
+    frame, xs, coords = frame_and_points(a, rotated, seed, n=2)
+    rng = np.random.default_rng(seed)
+    k = alg.random_automorphism_k(a, rng)
+    unit = alg.Endomorphism.identity(a)
+    bases = (ma.w1(a), ma.w2(frame), ma.interp(0.25, frame), ma.piecewise_det(frame))
+    # (algorithm, base, k) with w(x) = base(x) k
+    cases = [(b, b, unit) for b in bases] + [(ma.k_extended(b, k), b, k) for b in bases[:2]]
+    y = rng.standard_normal((4, a.dim))
+    for w, base, rot in cases:
+        for x in xs:
+            want = (reference_w(base, x) @ rot).matrix
+            assert np.max(np.abs(w(x).matrix - want)) <= 1e-12 * np.max(np.abs(want)), w.spec
+        tiled = np.tile(coords[:1], (len(y), 1))
+        for method in (w.apply_batch, w.solve_batch):
+            want = method(tiled, y)
+            atol = 1e-13 * np.max(np.abs(want))
+            assert_allclose(method(coords[:1], y), want, rtol=0, atol=atol, err_msg=w.spec)
 
 
 def test_decompose_oracle_calls_do_not_grow_with_the_grid():
