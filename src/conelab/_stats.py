@@ -12,8 +12,15 @@ Two kernels keep that traffic small:
   variances do not change under a permutation of one sample, so a permuted
   statistic exceeds the observed one exactly when its distance covariance
   ``sum(a * b[p][:, p])`` does.  The permuted matrix is gathered a band of
-  rows at a time and reduced with a dot product, so no ``m x m`` temporary
-  is built per permutation.
+  rows at a time and each band is reduced with ``einsum``, so no ``m x m``
+  temporary is built per permutation.  The permutations are scored on a
+  thread pool that lives for one call, with one worker per usable CPU
+  (capped by ``CONELAB_THREADS`` when it is set; one worker runs inline).
+  Gathers and reductions release the GIL.  ``einsum`` never calls BLAS,
+  whose own threads would fight the pool's (``np.vdot`` is OpenBLAS
+  ``ddot``, threaded above about 10 000 elements), and one worker computes a
+  whole permutation in a fixed band order, so every statistic has the same
+  bits whatever the worker count or the BLAS thread count.
 * two-sample energy test (Szekely & Rizzo 2004): the group-A labels of a
   block of permutations are the 0/1 columns of an indicator matrix ``Z``;
   ``colsum(Z * (D @ Z))`` gives every within-A distance sum of the block
@@ -22,14 +29,18 @@ Two kernels keep that traffic small:
   width, so memory does not grow with the sample or the permutation count.
 
 Both tests draw their permutations one at a time with
-``rng.permutation``, in the same order as a plain loop, so the generator
-ends in the same state and the add-one p-values are those of the direct
+``rng.permutation``, in the same order as a plain loop and in blocks of a
+fixed width, so the generator ends in the same state, memory does not grow
+with the permutation count, and the add-one p-values are those of the direct
 computation.  The observed statistic goes through the same arithmetic as
 the permuted ones, so a permutation that leaves the statistic unchanged
 always counts as an exceedance.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -82,15 +93,57 @@ def subsample_rows(n: int, max_points: int, rng: np.random.Generator) -> np.ndar
 # Rows of the permuted distance matrix gathered per step of the dcor kernel;
 # a 64-row band of a 1024-point matrix (512 kB) stays in cache.
 _DCOR_ROW_BAND = 64
+# Permutations drawn and handed to the pool at a time (64 x 1024 indices is
+# 512 kB), so memory stays fixed whatever the permutation count.
+_DCOR_PERM_BLOCK = 64
+
+
+def thread_cap():
+    """The ``CONELAB_THREADS`` cap (at least 1), or None when it is unset.
+
+    Raises ValueError when the variable is set to something other than an integer.
+    """
+    value = os.environ.get("CONELAB_THREADS")
+    return max(1, int(value)) if value else None
+
+
+def _pool_workers() -> int:
+    """One worker per usable CPU, capped by ``CONELAB_THREADS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, thread_cap() or cpus)
 
 
 def _permuted_covariance(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
-    """``sum(a * b[perm][:, perm])``, gathered one band of rows at a time."""
+    """``sum(a * b[perm][:, perm])``, gathered and reduced one band of rows at a time."""
     total = 0.0
     for lo in range(0, len(perm), _DCOR_ROW_BAND):
         rows = np.take(b, perm[lo : lo + _DCOR_ROW_BAND], axis=0)
-        total += float(np.vdot(a[lo : lo + _DCOR_ROW_BAND], np.take(rows, perm, axis=1)))
+        total += float(np.einsum("ij,ij->", a[lo : lo + _DCOR_ROW_BAND], np.take(rows, perm, axis=1)))
     return total
+
+
+def _permutation_blocks(m: int, n_perm: int, rng: np.random.Generator):
+    """Yield lists of at most _DCOR_PERM_BLOCK ``rng.permutation(m)``, in stream order."""
+    for start in range(0, n_perm, _DCOR_PERM_BLOCK):
+        yield [rng.permutation(m) for _ in range(min(_DCOR_PERM_BLOCK, n_perm - start))]
+
+
+def _map_blocks(fn, blocks, workers: int):
+    """Yield ``fn(item)`` for every item of every block, in order, on ``workers`` threads.
+
+    The pool lives as long as the iteration, and a block is drawn only when
+    the one before it is scored; with one worker the items run inline.
+    """
+    if workers == 1:
+        for block in blocks:
+            yield from map(fn, block)
+        return
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="conelab-dcor") as pool:
+        for block in blocks:
+            yield from pool.map(fn, block)
 
 
 def dcor_permutation_test(
@@ -113,13 +166,15 @@ def dcor_permutation_test(
     a, b = centered_distance_matrices(x[keep], y[keep])
     observed = dcor_from_centered(a, b)
     m = a.shape[0]
-    # dcor clips a negative covariance to 0, so the ranking clips it too
-    cov_obs = max(_permuted_covariance(a, b, np.arange(m)), 0.0)
-    exceed = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(m)
-        if max(_permuted_covariance(a, b, perm), 0.0) >= cov_obs:
-            exceed += 1
+
+    def covariance(perm):
+        # dcor clips a negative covariance to 0, so the ranking clips it too
+        return max(_permuted_covariance(a, b, perm), 0.0)
+
+    cov_obs = covariance(np.arange(m))
+    workers = min(_pool_workers(), max(n_perm, 1))
+    scores = _map_blocks(covariance, _permutation_blocks(m, n_perm, rng), workers)
+    exceed = sum(score >= cov_obs for score in scores)
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(m)
 

@@ -187,8 +187,9 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
 
     def split(quad_rows: BatchMap, tri_rows: BatchMap) -> BatchMap:
         def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            x = np.broadcast_to(x, y.shape)
             upper = np.prod(batch_eigenvalues(frame.algebra, x), axis=1) > 1.0
+            if len(x) == 1:  # one w(x) for every y row: one branch takes them all
+                return (quad_rows if upper[0] else tri_rows)(x, y)
             out = np.empty_like(y)
             for mask, branch_rows in ((upper, quad_rows), (~upper, tri_rows)):
                 if mask.any():

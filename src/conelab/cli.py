@@ -10,8 +10,9 @@ Exit codes: 0 all checks passed, 1 a suite or decomposition failed its
 thresholds, 2 unusable configuration.  Reports depend only on (config, seed):
 suites run sequentially and every random draw flows from the config seed, so
 identical configs produce byte-identical report files.  The environment
-variable CONELAB_THREADS caps the BLAS thread pool through threadpoolctl;
-without threadpoolctl the cap is not applied and a warning says so.
+variable CONELAB_THREADS caps the workers of the permutation pool always,
+and the BLAS thread pool through threadpoolctl; without threadpoolctl the
+BLAS cap is not applied and a warning says so.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._stats import thread_cap
 from .algebra import (
     AlgebraDescriptor,
     Element,
@@ -309,6 +311,10 @@ def suite_mult_alg(algebra, algorithm, rng, n, tol):
     )
     det_resid = np.max(np.abs(lhs - det_y * det_x) / np.abs(det_y * det_x))
     checks["det_multiplicativity"] = _check(det_resid, tol["ddet"])
+    # division undoes multiplication: g(x) (w(x) y) = y, through the batch_solve map
+    back = algorithm.solve_batch(x, algorithm.apply_batch(x, y))
+    roundtrip = np.linalg.norm(back - y, axis=1) / np.linalg.norm(y, axis=1)
+    checks["divide_roundtrip"] = _check(np.max(roundtrip), tol["bijection"])
     return checks
 
 
@@ -478,18 +484,20 @@ SUITES = {
 
 
 def _thread_limit():
-    value = os.environ.get("CONELAB_THREADS")
-    if not value:
-        return None
+    """Apply CONELAB_THREADS to BLAS; the permutation pool reads it in ``_stats``."""
     try:
-        limit = max(1, int(value))
+        limit = thread_cap()
     except ValueError:
-        raise ConfigError(f"CONELAB_THREADS must be an integer, got {value!r}")
+        raise ConfigError(f"CONELAB_THREADS must be an integer, got {os.environ['CONELAB_THREADS']!r}")
+    if limit is None:
+        return None
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:  # threadpoolctl is optional; scipy does not require it
         logger.warning(
-            "CONELAB_THREADS=%s was not applied: threadpoolctl is not installed", value
+            "CONELAB_THREADS=%d caps the permutation pool, but the BLAS cap was not applied: "
+            "threadpoolctl is not installed",
+            limit,
         )
         return None
     return threadpool_limits(limits=limit)

@@ -141,6 +141,20 @@ def test_a_nan_evaluation_fails_check_algorithm_and_the_mult_alg_suite():
     assert not checks["neutrality"]["passed"]
 
 
+def test_a_wrong_division_map_fails_the_mult_alg_suite():
+    """A w2 whose batch_solve returns twice the true rows passes every other check."""
+    a = alg.sym_real(3)
+    base = ma.w2(alg.standard_frame(a))
+    doubled = dataclasses.replace(base, batch_solve=lambda x, y: 2.0 * base.batch_solve(x, y))
+    good, bad = (
+        cli.suite_mult_alg(a, w, np.random.default_rng(5), 30, cli.DEFAULT_TOLERANCES) for w in (base, doubled)
+    )
+    assert all(c["passed"] for c in good.values())
+    assert not all(c["passed"] for c in bad.values())
+    assert [name for name, c in bad.items() if not c["passed"]] == ["divide_roundtrip"]
+    assert bad["divide_roundtrip"]["value"] == pytest.approx(1.0)
+
+
 def test_piecewise_algorithm_is_valid_but_not_homogeneous():
     a = alg.sym_real(2)
     w = ma.piecewise_det(alg.standard_frame(a))
@@ -242,3 +256,26 @@ def test_piecewise_batch_with_one_branch_empty(rng):
         x = np.array([alg.random_cone_element(a, rng, low, high).coords for _ in range(3)])
         want = [ma.divide(w, alg.Element(a, xi), alg.Element(a, yi)).coords for xi, yi in zip(x, y)]
         assert_allclose(w.solve_batch(x, y), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(3), alg.lorentz(4)], ids=lambda a: a.name)
+def test_piecewise_one_row_x_solves_one_eigenvalue_problem(a, rng, monkeypatch):
+    """A one-row x picks its branch once, on its own row, for the whole y batch."""
+    w = ma.piecewise_det(alg.standard_frame(a))
+    rows_seen = []
+    eigenvalues = ma.batch_eigenvalues
+
+    def counting(algebra, coords):
+        rows_seen.append(len(coords))
+        return eigenvalues(algebra, coords)
+
+    y = rng.standard_normal((a.dim, a.dim))
+    for low, high in ((2.0, 4.0), (0.1, 0.5)):  # det > 1, then det < 1
+        x = alg.random_cone_points(a, 1, rng, low, high)
+        want = [w.solve_batch(x, yi[None])[0] for yi in y]
+        monkeypatch.setattr(ma, "batch_eigenvalues", counting)
+        rows_seen.clear()
+        got = w.solve_batch(x, y)
+        monkeypatch.setattr(ma, "batch_eigenvalues", eigenvalues)
+        assert rows_seen == [1]
+        assert_allclose(got, want, atol=1e-12)

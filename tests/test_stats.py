@@ -1,5 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conelab import _stats
@@ -238,3 +241,99 @@ def test_energy_indicator_blocks_are_bounded(n_perm):
         want = np.sort(ref_rng.permutation(n)[:na])
         assert np.array_equal(np.flatnonzero(z[:, j]), want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# The dcor permutations are scored on a thread pool.  Every permutation's
+# covariance is computed whole by one worker in a fixed band order, so the
+# worker count changes neither the statistics nor the generator's stream.
+
+PERM_BLOCK = _stats._DCOR_PERM_BLOCK
+ROW_BAND = _stats._DCOR_ROW_BAND
+PERMUTED_COVARIANCE = _stats._permuted_covariance
+
+
+def pooled_dcor_test(monkeypatch, workers, data, n_perm, max_points, seed=6):
+    """Run the dcor test on ``workers`` threads, forced whatever the CPU count;
+    returns (result, generator state, names of the threads that scored)."""
+    monkeypatch.setattr(_stats, "_pool_workers", lambda: workers)
+    names = set()
+
+    def recording(a, b, perm):
+        names.add(threading.current_thread().name)
+        return PERMUTED_COVARIANCE(a, b, perm)
+
+    monkeypatch.setattr(_stats, "_permuted_covariance", recording)
+    rng = np.random.default_rng(seed)
+    got = _stats.dcor_permutation_test(*data, n_perm, rng, max_points=max_points)
+    return got, rng.bit_generator.state, names
+
+
+@pytest.mark.parametrize("n_perm", [0, 1, PERM_BLOCK, 2 * PERM_BLOCK + 3])
+def test_dcor_pool_matches_one_worker(monkeypatch, n_perm):
+    """Equal (stat, p, n_used) and generator state with 1 and 3 workers, across blocks."""
+    data_rng = np.random.default_rng(12)
+    x = data_rng.standard_normal((150, 2))
+    y = 0.15 * x + data_rng.standard_normal((150, 2))
+    inline, inline_state, inline_names = pooled_dcor_test(monkeypatch, 1, (x, y), n_perm, 130)
+    pooled, pooled_state, pooled_names = pooled_dcor_test(monkeypatch, 3, (x, y), n_perm, 130)
+    assert pooled == inline
+    assert pooled_state == inline_state
+    assert inline_names == {threading.current_thread().name}
+    if n_perm > 1:  # the permutations ran on the pool's threads
+        assert any(name.startswith("conelab-dcor") for name in pooled_names)
+
+
+def test_dcor_pool_matches_one_worker_on_a_constant_sample(monkeypatch):
+    """Every permutation ties a constant sample's zero covariance, on any worker."""
+    x = np.ones((60, 2))
+    y = np.random.default_rng(4).standard_normal((60, 2))
+    inline, inline_state, _ = pooled_dcor_test(monkeypatch, 1, (x, y), 19, 100)
+    pooled, pooled_state, _ = pooled_dcor_test(monkeypatch, 3, (x, y), 19, 100)
+    assert pooled == inline
+    assert inline[1] == 1.0
+    assert pooled_state == inline_state
+
+
+def test_dcor_pool_leaves_no_thread_running(monkeypatch):
+    x = np.random.default_rng(8).standard_normal((90, 2))
+    before = threading.active_count()
+    pooled_dcor_test(monkeypatch, 3, (x, x[::-1]), 2 * PERM_BLOCK + 1, 90)
+    assert threading.active_count() == before
+
+
+def test_dcor_with_one_worker_builds_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built for one worker")
+
+    monkeypatch.setattr(_stats, "ThreadPoolExecutor", no_pool)
+    x = np.random.default_rng(8).standard_normal((70, 2))
+    pooled_dcor_test(monkeypatch, 1, (x, x[::-1]), 9, 70)
+
+
+def test_pool_workers_follow_the_cpu_count_and_the_thread_cap(monkeypatch):
+    monkeypatch.delenv("CONELAB_THREADS", raising=False)
+    cpus = _stats._pool_workers()
+    assert cpus >= 1
+    monkeypatch.setenv("CONELAB_THREADS", "1")
+    assert _stats._pool_workers() == 1
+    monkeypatch.setenv("CONELAB_THREADS", str(cpus + 5))  # a cap above the CPU count
+    assert _stats._pool_workers() == cpus
+    monkeypatch.setenv("CONELAB_THREADS", "many")
+    with pytest.raises(ValueError):
+        _stats._pool_workers()
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(m=st.integers(min_value=1, max_value=3 * ROW_BAND), seed=st.integers(0, 2**32 - 1))
+@example(m=ROW_BAND - 1, seed=0)
+@example(m=ROW_BAND, seed=1)
+@example(m=2 * ROW_BAND + 5, seed=2)
+def test_permuted_covariance_matches_the_full_gather(m, seed):
+    """The band sums equal sum(a * b[p][:, p]) within 1e-12 of the sum of |terms|
+    (the sum itself can cancel to near zero)."""
+    rng = np.random.default_rng(seed)
+    a, b = _stats.centered_distance_matrices(rng.standard_normal((m, 2)), rng.standard_normal((m, 3)))
+    perm = rng.permutation(m)
+    terms = a * b[np.ix_(perm, perm)]
+    got = _stats._permuted_covariance(a, b, perm)
+    assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
