@@ -218,7 +218,6 @@ def from_matrix(algebra: AlgebraDescriptor, mat: np.ndarray) -> Element:
     return Element(algebra, mats_to_coords(algebra, mat[None, :, :])[0])
 
 
-@lru_cache(maxsize=None)
 def _basis_tensor(algebra: AlgebraDescriptor) -> np.ndarray:
     """Stack of basis matrices, shape (dim, r, r); complex for herm_complex."""
     r = algebra.rank
@@ -240,18 +239,28 @@ def _basis_tensor(algebra: AlgebraDescriptor) -> np.ndarray:
     return mats
 
 
+@lru_cache(maxsize=None)
+def _basis_matrix(algebra: AlgebraDescriptor) -> np.ndarray:
+    """The basis matrices as the rows of one real (dim, r*r) matrix; on herm_complex each row
+    is viewed as float, real and imaginary parts interleaved, giving (dim, 2*r*r)."""
+    return _basis_tensor(algebra).reshape(algebra.dim, -1).view(float)
+
+
 def coords_to_mats(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
-    """Batch map (n, dim) coordinate rows to (n, r, r) matrices."""
-    basis = _basis_tensor(algebra)
-    return np.einsum("nk,kij->nij", coords, basis)
+    """Batch map (n, dim) coordinate rows to (n, r, r) matrices, one real matrix product."""
+    flat = coords @ _basis_matrix(algebra)
+    if algebra.kind == HERM_COMPLEX:
+        flat = flat.view(complex)
+    return flat.reshape(len(coords), algebra.rank, algebra.rank)
 
 
 def mats_to_coords(algebra: AlgebraDescriptor, mats: np.ndarray) -> np.ndarray:
-    """Batch inverse of :func:`coords_to_mats` (Frobenius projections)."""
-    basis = _basis_tensor(algebra)
+    """Batch inverse of :func:`coords_to_mats`: Frobenius projections Re tr(B_k^H M), one real
+    matrix product.  Takes real input; a non-Hermitian M gives its Hermitian part's coordinates."""
+    basis = _basis_matrix(algebra)
     if algebra.kind == HERM_COMPLEX:
-        return np.einsum("nij,kij->nk", mats, basis.conj()).real
-    return np.einsum("nij,kij->nk", mats, basis)
+        mats = np.ascontiguousarray(mats, dtype=complex).view(float)
+    return mats.reshape(len(mats), basis.shape[1]) @ basis.T
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +361,7 @@ def batch_quad_rep(
 def lmap(x: Element) -> Endomorphism:
     """Left multiplication L(x): y -> xy."""
     algebra = x.algebra
-    tiled = np.tile(x.coords, (algebra.dim, 1))
-    cols = batch_jordan_product(algebra, tiled, np.eye(algebra.dim))
+    cols = batch_jordan_product(algebra, x.coords[None, :], np.eye(algebra.dim))
     return Endomorphism(algebra, cols.T)
 
 
@@ -466,13 +474,9 @@ def spectral_decompose(x: Element) -> SpectralDecomposition:
         frame = (Element(algebra, plus[0]), Element(algebra, minus[0]))
         return SpectralDecomposition(frame, batch_eigenvalues(algebra, coords)[0])
     lam, vecs = np.linalg.eigh(x.to_matrix())
-    lam = lam[::-1]
-    vecs = vecs[:, ::-1]
-    frame = []
-    for i in range(algebra.rank):
-        v = vecs[:, i]
-        frame.append(from_matrix(algebra, np.outer(v, v.conj())))
-    return SpectralDecomposition(tuple(frame), lam)
+    v = vecs.T[::-1]  # rows are eigenvectors, eigenvalues descending
+    members = mats_to_coords(algebra, v[:, :, None] * v.conj()[:, None, :])
+    return SpectralDecomposition(tuple(Element(algebra, c) for c in members), lam[::-1])
 
 
 def _spectral_map(x: Element, fn) -> Element:
@@ -512,10 +516,6 @@ def element_power(x: Element, alpha: float) -> Element:
     if lam.min() <= 0:
         raise DomainError("fractional powers need a strictly positive spectrum")
     return _spectral_map(x, lambda t: np.power(t, alpha))
-
-
-def sqrt_element(x: Element) -> Element:
-    return element_power(x, 0.5)
 
 
 def in_cone(x: Element, tol: float = 0.0) -> bool:
@@ -766,7 +766,7 @@ def axiom_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator
     rhs = batch_jordan_product(algebra, xx, xy)
     jordan_identity = float(np.max(rownorm(lhs - rhs) / (nx**3 * ny)))
 
-    e = np.tile(identity(algebra).coords, (n, 1))
+    e = identity(algebra).coords[None, :]
     neutrality = float(np.max(rownorm(batch_jordan_product(algebra, x, e) - x) / nx))
 
     yz = batch_jordan_product(algebra, y, z)

@@ -14,6 +14,13 @@ multiplication algorithm is only its two row maps; the matrix w(x) built
 from them matches the closed forms P(x^{1/2}), t_x, P(x^a) t_{x^{1-2a}} and
 w(x) k (Olkin & Rubin 1962; Faraut & Korányi 1994, ch. VI), and one
 broadcast x row gives the rows of the tiled call.
+
+The matrix-kind coordinate maps are one real matrix product each way; they
+agree with the einsum contraction against the basis tensor to 2 ulp, give
+exactly Hermitian matrices, round-trip, and project any real or complex
+matrix onto its Hermitian part.  On every kind and rank the Jordan product
+is commutative, satisfies the Jordan identity, and L(x) is self-adjoint for
+the trace form.
 """
 
 from collections import Counter
@@ -33,6 +40,9 @@ KINDS = (
     + [alg.herm_complex(r) for r in range(2, 7)]
     + [alg.lorentz(n) for n in range(3, 17)]
 )
+
+MATRIX_KINDS = [alg.sym_real(r) for r in range(1, 9)] + [alg.herm_complex(r) for r in range(1, 7)]
+EVERY_KIND = MATRIX_KINDS + [alg.lorentz(n) for n in range(2, 17)]
 
 # derandomized: every run draws the same examples
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=5)
@@ -201,3 +211,109 @@ def test_batched_haar_rotations_have_determinant_one(n):
     q = alg._haar_special_orthogonal(n, np.random.default_rng(5), 200)
     assert_allclose(q @ np.swapaxes(q, 1, 2), np.broadcast_to(np.eye(n), q.shape), atol=1e-12)
     assert_allclose(np.linalg.det(q), 1.0, rtol=1e-12)
+
+
+def scaled_rows(rng, shape):
+    """Standard normal entries, each leading row scaled by a factor between e^-20 and e^20."""
+    scale = np.exp(rng.uniform(-20.0, 20.0, (shape[0],) + (1,) * (len(shape) - 1)))
+    return rng.standard_normal(shape) * scale
+
+
+def assert_within_2_ulp(got, want, terms):
+    """Real and imaginary parts agree to 2 ulp of ``terms``, the sums of the absolute terms."""
+    assert got.shape == want.shape
+    bound = 2.0 * np.spacing(terms)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want)) <= bound)
+
+
+def non_hermitian(a, rng, n):
+    """n random r x r matrices, real on sym_real and complex on herm_complex, neither symmetric."""
+    mats = scaled_rows(rng, (n, a.rank, a.rank))
+    if a.kind == alg.HERM_COMPLEX:
+        mats = mats + 1j * rng.standard_normal(mats.shape) * np.abs(mats).max(axis=(1, 2), keepdims=True)
+    return mats
+
+
+def hermitian_part(mats):
+    return 0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2)))
+
+
+@pytest.mark.parametrize("a", MATRIX_KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_coordinate_maps_match_the_einsum_contraction(a, seed):
+    rng = np.random.default_rng(seed)
+    basis = alg._basis_tensor(a)
+    coords = scaled_rows(rng, (40, a.dim))
+    mats = alg.coords_to_mats(a, coords)
+    want = np.einsum("nk,kij->nij", coords, basis)
+    assert mats.dtype == want.dtype
+    assert_within_2_ulp(mats, want, np.einsum("nk,kij->nij", np.abs(coords), np.abs(basis)))
+    general = non_hermitian(a, rng, 40)
+    want = np.einsum("nij,kij->nk", general, basis.conj()).real
+    got = alg.mats_to_coords(a, general)
+    assert got.dtype == np.float64
+    assert_within_2_ulp(got, want, np.einsum("nij,kij->nk", np.abs(general), np.abs(basis)))
+
+
+@pytest.mark.parametrize("a", MATRIX_KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_coordinate_maps_roundtrip_through_exactly_hermitian_matrices(a, seed):
+    coords = scaled_rows(np.random.default_rng(seed), (40, a.dim))
+    mats = alg.coords_to_mats(a, coords)
+    assert mats.shape == (40, a.rank, a.rank)
+    assert np.array_equal(mats, np.conj(np.swapaxes(mats, 1, 2)))
+    back = alg.mats_to_coords(a, mats)
+    assert np.all(np.abs(back - coords).max(axis=1) <= 1e-15 * np.abs(coords).max(axis=1))
+    # one row, and no row at all, keep their shapes
+    assert alg.coords_to_mats(a, coords[:1]).shape == (1, a.rank, a.rank)
+    assert alg.mats_to_coords(a, mats[:0]).shape == (0, a.dim)
+
+
+@pytest.mark.parametrize("a", MATRIX_KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_mats_to_coords_projects_onto_the_hermitian_part(a, seed):
+    general = non_hermitian(a, np.random.default_rng(seed), 40)
+    # real input on herm_complex too: from_matrix passes it
+    for mats in (general, general.real) if a.kind == alg.HERM_COMPLEX else (general,):
+        coords = alg.mats_to_coords(a, mats)
+        want = hermitian_part(mats)
+        bound = 1e-15 * np.abs(mats).max(axis=(1, 2))
+        assert np.all(np.abs(alg.coords_to_mats(a, coords) - want).max(axis=(1, 2)) <= bound)
+        assert np.all(np.abs(coords - alg.mats_to_coords(a, want)).max(axis=1) <= bound)
+    if a.kind == alg.HERM_COMPLEX:
+        real = general.real
+        assert np.array_equal(alg.mats_to_coords(a, real), alg.mats_to_coords(a, real.astype(complex)))
+    # a transposed, non-contiguous view
+    view = np.swapaxes(general, 1, 2)
+    assert np.array_equal(alg.mats_to_coords(a, view), alg.mats_to_coords(a, np.ascontiguousarray(view)))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("a", EVERY_KIND, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_jordan_product_axioms(a, rotated, seed):
+    # x runs over cone points, the frame's idempotents and points off the cone
+    frame, _, points = frame_and_points(a, rotated, seed)
+    rng = np.random.default_rng(seed + 1)
+    x = np.vstack([points, [c.coords for c in frame], rng.standard_normal((3, a.dim))])
+    y = rng.standard_normal(x.shape)
+    scale = np.sqrt(a.inner_scale)
+    nx = scale * np.linalg.norm(x, axis=1)
+    ny = scale * np.linalg.norm(y, axis=1)
+    xy = alg.batch_jordan_product(a, x, y)
+    assert np.array_equal(xy, alg.batch_jordan_product(a, y, x))
+    # the Jordan identity (x^2 y) x = x^2 (y x)
+    xx = alg.batch_jordan_product(a, x, x)
+    lhs = alg.batch_jordan_product(a, alg.batch_jordan_product(a, xx, y), x)
+    rhs = alg.batch_jordan_product(a, xx, xy)
+    assert np.all(scale * np.linalg.norm(lhs - rhs, axis=1) <= 1e-13 * nx**3 * ny)
+    # L(x) is the product, and self-adjoint for the trace form <u, v> = inner_scale * u.v
+    for row, y_row, xy_row, bound in zip(x, y, xy, 1e-13 * nx * ny):
+        lx = alg.lmap(alg.Element(a, row)).matrix
+        assert scale * np.linalg.norm(lx @ y_row - xy_row) <= bound
+        assert np.abs(lx - lx.T).max() <= 1e-14 * np.abs(lx).max()
