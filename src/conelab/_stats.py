@@ -79,11 +79,6 @@ def dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(cov_xy, 0.0) / denom))
 
 
-def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    a, b = centered_distance_matrices(np.atleast_2d(x), np.atleast_2d(y))
-    return dcor_from_centered(a, b)
-
-
 def subsample_rows(n: int, max_points: int, rng: np.random.Generator) -> np.ndarray:
     if n <= max_points:
         return np.arange(n)
@@ -186,16 +181,6 @@ def _energy_from_sums(s_aa, r_a, total: float, na: int, nb: int):
     return 2.0 * s_ab / (na * nb) - s_aa / (na * na) - s_bb / (nb * nb)
 
 
-def energy_statistic(dist: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray, row_sums=None) -> float:
-    """Two-sample energy statistic from a pooled distance matrix."""
-    if row_sums is None:
-        row_sums = dist.sum(axis=1)
-    na, nb = len(idx_a), len(idx_b)
-    s_aa = dist[np.ix_(idx_a, idx_a)].sum()
-    r_a = row_sums[idx_a].sum()
-    return float(_energy_from_sums(s_aa, r_a, row_sums.sum(), na, nb))
-
-
 # Permutations per indicator block of the energy kernel.  One block holds the
 # usual 199 permutations and the identity, so the pooled distances are
 # computed twice per test (row sums, then products); larger counts take more
@@ -250,7 +235,7 @@ def energy_permutation_test(
     nb = len(pool) - na
     row_sums = np.concatenate([band.sum(axis=1) for _, band in _distance_row_bands(pool)])
     total = row_sums.sum()
-    # the sums energy_statistic forms from the full matrix, in the same order
+    # the sums a direct computation forms from the full matrix, in the same order
     s_aa = cdist(pool[:na], pool[:na]).sum()
     observed = _energy_from_sums(s_aa, row_sums[:na].sum(), total, na, nb)
     exceed = 0
@@ -265,15 +250,6 @@ def energy_permutation_test(
         exceed += int(np.count_nonzero(stats >= kernel_obs))
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(min(na, len(keep_b)))
-
-
-def ks_distance_to_uniform(values: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance of a sample to the uniform law on [0, 1]."""
-    u = np.sort(np.asarray(values, dtype=float))
-    n = len(u)
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    return float(max(np.max(np.abs(grid_hi - u)), np.max(np.abs(u - grid_lo))))
 
 
 def rng_seed_record(rng: np.random.Generator) -> dict:

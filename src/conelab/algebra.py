@@ -191,6 +191,39 @@ class Element:
         return coords_to_mats(self.algebra, self.coords[None, :])[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Points:
+    """A batch of points of one algebra: one read-only (n, dim) array of coordinate rows.
+
+    The rows are checked once, here: two dimensions, ``dim`` columns, finite
+    floats.  ``len`` counts the rows; an integer index gives that row as an
+    :class:`Element`, a slice or an index array gives another batch, and
+    iteration yields the rows as Elements one at a time.
+    """
+
+    algebra: AlgebraDescriptor
+    coords: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.coords, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.algebra.dim:
+            raise ValidationError(f"coords shape {arr.shape} is not (n, {self.algebra.dim})")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("coordinates must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coords", arr)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, index):
+        rows = self.coords[index]
+        return Element(self.algebra, rows) if rows.ndim == 1 else Points(self.algebra, rows)
+
+    def __iter__(self):
+        return (Element(self.algebra, row) for row in self.coords)
+
+
 def identity(algebra: AlgebraDescriptor) -> Element:
     """The neutral element e."""
     c = np.zeros(algebra.dim)

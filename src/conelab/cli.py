@@ -31,6 +31,7 @@ from ._stats import thread_cap
 from .algebra import (
     AlgebraDescriptor,
     Element,
+    Points,
     axiom_residuals,
     batch_eigenvalues,
     batch_spectral_map,
@@ -326,12 +327,11 @@ def suite_distributions(algebra, algorithm, rng, n, tol):
     p = nd_ratio + 1.0 + float(rng.uniform(0.0, 1.0))
     wp = WishartParams(p, a)
     rp = wp.as_riesz(frame)
-    points = [Element(algebra, row) for row in random_cone_points(algebra, 50, rng, 0.2, 5.0)]
-    match = [wishart_logpdf(wp, x) - riesz_logpdf(rp, x) for x in points]
+    points = Points(algebra, random_cone_points(algebra, 50, rng, 0.2, 5.0))
+    match = wishart_logpdf(wp, points) - riesz_logpdf(rp, points)
     checks["wishart_equals_riesz"] = _check(np.max(np.abs(match)), tol["logpdf_match"])
 
-    draws = sample_riesz(rp, n, rng)
-    coords = np.array([d.coords for d in draws])
+    coords = sample_riesz(rp, n, rng).coords
     checks["wishart_mean"] = _check(wishart_mean_sigmas(coords, p, a), tol["mean_sigmas"])
 
     lam_min = float(batch_eigenvalues(algebra, coords[:200]).min())

@@ -30,12 +30,13 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     JordanFrame,
+    Points,
+    batch_eigenvalues,
     determinant,
     eigenvalues,
-    from_matrix,
     identity,
-    inner,
     inverse,
+    mats_to_coords,
     parse_algebra,
     random_element,
     require_in_cone,
@@ -144,37 +145,35 @@ def riesz_log_normalizer(params: RieszParams) -> float:
     )
 
 
-def riesz_logpdf(params: RieszParams, x: Element) -> float:
-    """Log density of the Riesz distribution at x; -inf outside the cone."""
-    algebra = params.algebra
+def _log_density(algebra: AlgebraDescriptor, x, log_norm: float, log_mult, lam: Element):
+    """log_norm + log_mult(rows, eigenvalues) + <lam, x> at the rows of x in the cone, -inf elsewhere;
+    a float for one Element x, an (n,) array for a :class:`Points` batch x."""
     if x.algebra != algebra:
         raise ValidationError("point and parameters from different algebras")
-    if eigenvalues(x).min() <= 0:
-        return float("-inf")
-    shifted = params.s.as_array() - algebra.dim / algebra.rank
-    return float(
-        riesz_log_normalizer(params)
-        + generalized_power_log(x, shifted, params.frame)
-        - inner(params.a, x)
-    )
+    coords = x.coords.reshape(-1, algebra.dim)
+    eig = batch_eigenvalues(algebra, coords)
+    inside = eig.min(axis=1) > 0
+    rows = coords[inside]
+    out = np.full(len(coords), -np.inf)
+    out[inside] = log_norm + log_mult(rows, eig[inside]) + rows @ (algebra.inner_scale * lam.coords)
+    return float(out[0]) if isinstance(x, Element) else out
 
 
-def wishart_logpdf(params: WishartParams, x: Element) -> float:
-    """Log density of the Wishart distribution, in closed form."""
+def riesz_logpdf(params: RieszParams, x):
+    """Log density of the Riesz distribution at an Element or a batch; -inf outside the cone."""
+    return riesz_model(params, None).logpdf(x)
+
+
+def wishart_logpdf(params: WishartParams, x):
+    """Log density of the Wishart distribution in closed form, at an Element or a batch."""
     algebra = params.algebra
-    if x.algebra != algebra:
-        raise ValidationError("point and parameters from different algebras")
-    lam = eigenvalues(x)
-    if lam.min() <= 0:
-        return float("-inf")
     p = params.p
     log_norm = p * np.log(determinant(params.a)) - log_gamma_cone(
         PowerExponent.constant(p, algebra.rank), algebra
     )
-    return float(
-        log_norm
-        + (p - algebra.dim / algebra.rank) * np.sum(np.log(lam))
-        - inner(params.a, x)
+    power = p - algebra.dim / algebra.rank
+    return _log_density(
+        algebra, x, log_norm, lambda _, eig: power * np.sum(np.log(eig), axis=1), -1.0 * params.a
     )
 
 
@@ -203,8 +202,8 @@ def _scale_endomorphism(params: RieszParams):
     return as_endomorphism(triangular_decompose(inverse(params.a), params.frame))
 
 
-def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator):
-    """n independent draws, deterministic under the generator state.
+def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator) -> Points:
+    """A batch of n independent draws, deterministic under the generator state.
 
     The variates come from two calls on ``rng``.  ``rng.gamma`` fills an
     (n, r) array of diagonal entries alpha; then ``rng.standard_normal``
@@ -232,10 +231,10 @@ def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator):
     scale = _scale_endomorphism(params)
     if scale is not None:
         y = scale.apply_batch(y)
-    return [Element(algebra, row) for row in y]
+    return Points(algebra, y)
 
 
-def sample_wishart(params: WishartParams, n: int, rng: np.random.Generator, frame=None):
+def sample_wishart(params: WishartParams, n: int, rng: np.random.Generator, frame=None) -> Points:
     return sample_riesz(params.as_riesz(frame), n, rng)
 
 
@@ -274,12 +273,12 @@ class DensityModel:
     def algebra(self) -> AlgebraDescriptor:
         return self.lam.algebra
 
-    def logpdf(self, x: Element) -> float:
-        if eigenvalues(x).min() <= 0:
-            return float("-inf")
-        return float(self.log_normalizer + self.mult_fn(x) + inner(self.lam, x))
+    def logpdf(self, x):
+        """Log density at an Element (a float) or a batch (an (n,) array); -inf outside the cone."""
+        log_mult = self.mult_fn.evaluator
+        return _log_density(self.algebra, x, self.log_normalizer, lambda rows, _: log_mult(rows), self.lam)
 
-    def sample(self, n: int, rng: np.random.Generator):
+    def sample(self, n: int, rng: np.random.Generator) -> Points:
         if self.riesz_params is None:
             raise ValidationError("this density model carries no sampler parameters")
         return sample_riesz(self.riesz_params, n, rng)
@@ -372,19 +371,16 @@ def riesz_normalization_quadrature(
     log_norm = riesz_log_normalizer(params)
     mass = float(np.exp(log_norm) * np.sum(weights * residual))
 
-    spot = 0.0
     log_density = (
         log_norm
         + (svec[0] - svec[1]) * np.log(x11)
         + beta * np.log(l1 * l2)
         - pairing
     )
-    flat_idx = np.linspace(0, log_density.size - 1, check_points).astype(int)
-    for idx in flat_idx:
-        i, j, k = np.unravel_index(idx, log_density.shape)
-        mat = np.array([[x11[i, j, k], x12[i, j, k]], [x12[i, j, k], x22[i, j, k]]])
-        lp = riesz_logpdf(params, from_matrix(algebra, mat))
-        spot = max(spot, abs(lp - float(log_density[i, j, k])))
+    nodes = np.linspace(0, log_density.size - 1, check_points).astype(int)
+    mats = np.stack([m.ravel()[nodes] for m in (x11, x12, x12, x22)], axis=1).reshape(-1, 2, 2)
+    lp = riesz_logpdf(params, Points(algebra, mats_to_coords(algebra, mats)))
+    spot = float(np.max(np.abs(lp - log_density.ravel()[nodes]), initial=0.0))
     return mass, spot
 
 
@@ -428,19 +424,19 @@ def read_coords_csv(path):
     return header, rows
 
 
-def save_samples_csv(path, samples) -> None:
-    """One row per draw; coordinates in the documented basis order."""
-    if not samples:
+def save_samples_csv(path, samples: Points) -> None:
+    """One row per draw of a batch; coordinates in the documented basis order."""
+    if not len(samples):
         raise ValidationError("refusing to write an empty sample batch")
-    algebra = samples[0].algebra
+    algebra = samples.algebra
     header = [f"algebra={algebra.name}"] + [f"c{i}" for i in range(algebra.dim)]
-    write_coords_csv(path, header, (("", x.coords) for x in samples))
+    write_coords_csv(path, header, (("", row) for row in samples.coords))
 
 
-def load_samples_csv(path):
-    """Inverse of :func:`save_samples_csv`."""
+def load_samples_csv(path) -> Points:
+    """Inverse of :func:`save_samples_csv`: the batch, bit for bit."""
     header, rows = read_coords_csv(path)
     if not header or not header[0].startswith("algebra="):
         raise ValidationError("missing algebra descriptor in CSV header")
     algebra = parse_algebra(header[0].split("=", 1)[1])
-    return [Element(algebra, coords) for _, coords in rows]
+    return Points(algebra, np.array([values for _, values in rows]).reshape(len(rows), len(header) - 1))

@@ -213,8 +213,8 @@ def independence_test(
     rng: Optional[np.random.Generator] = None,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> IndependenceReport:
-    """Distance correlation between whitened U and V coordinates with a
-    permutation p-value; deterministic given the generator state."""
+    """Distance correlation between whitened U and V coordinates of two equal-length sample
+    batches, with a permutation p-value; deterministic given the generator state."""
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(samples_x)
@@ -223,9 +223,7 @@ def independence_test(
     if n < 100:
         raise InsufficientSampleError(f"need at least 100 samples, got {n}")
     seeds = _stats.rng_seed_record(rng)
-    x = np.array([s.coords for s in samples_x])
-    y = np.array([s.coords for s in samples_y])
-    u, v = batch_quotient(w, x, y)
+    u, v = batch_quotient(w, samples_x.coords, samples_y.coords)
     u_w = _stats.whiten(u)
     v_w = _stats.whiten(v)
     stat, p_value, n_used = _stats.dcor_permutation_test(
@@ -273,11 +271,7 @@ def k_invariant_quotient_check(
     algebra = model_x.algebra
     if model_x.riesz_params is None or model_y.riesz_params is None:
         raise ValidationError("both models need sampler parameters")
-    xs = model_x.sample(n, rng)
-    ys = model_y.sample(n, rng)
-    x = np.array([s.coords for s in xs])
-    y = np.array([s.coords for s in ys])
-    u, _ = batch_quotient(w, x, y)
+    u, _ = batch_quotient(w, model_x.sample(n, rng).coords, model_y.sample(n, rng).coords)
     half = len(u) // 2
     ref, other = u[:half], u[half:]
     p_values = []

@@ -271,7 +271,7 @@ def test_criterion_08_sampler_validity():
     p_deg = 2.3
     params = dist.WishartParams(p_deg, scale).as_riesz(frame)
     draws = dist.sample_riesz(params, 100_000, np.random.default_rng(808))
-    sigmas = dist.wishart_mean_sigmas(np.array([x.coords for x in draws]), p_deg, scale)
+    sigmas = dist.wishart_mean_sigmas(draws.coords, p_deg, scale)
     riesz = dist.RieszParams(PowerExponent.of((2.8, 1.6)), scale, frame)
     mass, spot = dist.riesz_normalization_quadrature(riesz, 48, 48, 32)
     ok = sigmas <= 4.0 and abs(mass - 1.0) <= 1e-3 and spot <= 1e-10

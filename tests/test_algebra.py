@@ -320,3 +320,44 @@ def test_scalar_draws_keep_their_stream(name):
     }
     for key, want in SCALAR_DRAWS_2024[name].items():
         assert_allclose(got[key], want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)), err_msg=key)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
+def test_points_index_slice_and_iteration(a, rng):
+    coords = rng.standard_normal((7, a.dim))
+    batch = alg.Points(a, coords)
+    assert len(batch) == 7
+    assert np.array_equal(batch.coords, coords)
+    assert not batch.coords.flags.writeable
+    coords[0, 0] += 1.0  # the batch holds its own copy
+    assert batch.coords[0, 0] != coords[0, 0]
+    for index in (2, -1, np.int64(4)):
+        row = batch[index]
+        assert isinstance(row, alg.Element) and row.algebra == a
+        assert np.array_equal(row.coords, batch.coords[index])
+    with pytest.raises(IndexError):
+        batch[7]
+    for index in (slice(1, 4), slice(None, None, 2), slice(7, None), np.array([5, 0])):
+        part = batch[index]
+        assert isinstance(part, alg.Points) and part.algebra == a
+        assert np.array_equal(part.coords, batch.coords[index])
+    rows = iter(batch)
+    assert not isinstance(rows, (list, tuple))  # Elements are built as they are read
+    assert isinstance(next(rows), alg.Element)
+    assert np.array_equal(np.array([x.coords for x in batch]), batch.coords)
+    empty = alg.Points(a, np.empty((0, a.dim)))
+    assert len(empty) == 0 and list(empty) == []
+
+
+def test_points_reject_bad_shapes_and_non_finite_rows():
+    a = alg.sym_real(2)
+    for bad in (np.ones(3), np.ones((4, 2)), np.ones((2, 4, 3))):
+        with pytest.raises(ValidationError):
+            alg.Points(a, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        rows = np.ones((4, 3))
+        rows[2, 1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            alg.Points(a, rows)
+    # a single Element is not checked for finiteness
+    assert np.isnan(alg.Element(a, [np.nan, 0.0, 0.0]).coords[0])

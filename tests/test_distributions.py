@@ -96,7 +96,7 @@ def test_draws_lie_in_cone(rng):
     a = alg.sym_real(2)
     rp = dist.WishartParams(2.2, alg.identity(a)).as_riesz()
     draws = dist.sample_riesz(rp, 10_000, rng)
-    mats = alg.coords_to_mats(a, np.array([x.coords for x in draws]))
+    mats = alg.coords_to_mats(a, draws.coords)
     assert np.linalg.eigvalsh(mats).min() > 0
 
 
@@ -104,7 +104,7 @@ def test_rank_one_sampler_matches_gamma_moments():
     a = alg.sym_real(1)
     frame = alg.standard_frame(a)
     rp = dist.RieszParams(PowerExponent.of((2.0,)), alg.Element(a, [1.5]), frame)
-    draws = np.array([x.coords[0] for x in dist.sample_riesz(rp, 40000, np.random.default_rng(3))])
+    draws = dist.sample_riesz(rp, 40000, np.random.default_rng(3)).coords[:, 0]
     assert draws.mean() == pytest.approx(2.0 / 1.5, abs=4 * draws.std() / math.sqrt(len(draws)))
 
 
@@ -116,8 +116,7 @@ def test_wishart_sampler_mean(a, rng):
     p = a.dim / a.rank + 1.1
     rp = dist.WishartParams(p, scale).as_riesz()
     n = 20000 if a.kind == "sym_real" else 8000
-    draws = dist.sample_riesz(rp, n, rng)
-    coords = np.array([x.coords for x in draws])
+    coords = dist.sample_riesz(rp, n, rng).coords
     mean = coords.mean(axis=0)
     se = coords.std(axis=0, ddof=1) / math.sqrt(n)
     target = p * alg.inverse(scale).coords
@@ -140,7 +139,7 @@ def test_fast_and_general_paths_agree_in_distribution():
     )
     inv = rot.adjoint()  # rotations are orthogonal, adjoint = inverse
     rotated_back = np.array([inv.apply(x).coords for x in rotated])
-    standard_coords = np.array([x.coords for x in standard])
+    standard_coords = standard.coords
     stat, p, _ = _stats.energy_permutation_test(
         standard_coords, rotated_back, 199, np.random.default_rng(2), max_points=600
     )
@@ -155,17 +154,15 @@ def test_riesz_sampler_against_importance_resampled_reference():
     s = PowerExponent.of((2.0, 1.6))
     rp = dist.RieszParams(s, scale, frame)
     n = 20000
-    direct = np.array([x.coords for x in dist.sample_riesz(rp, n, np.random.default_rng(10))])
+    direct = dist.sample_riesz(rp, n, np.random.default_rng(10)).coords
 
     p_prop = 1.55
     df = 2.0 * p_prop
     sigma = np.linalg.inv(2.0 * scale.to_matrix())
     raw = stats.wishart.rvs(df=df, scale=sigma, size=2 * n, random_state=np.random.default_rng(11))
     prop_params = dist.WishartParams(p_prop, scale)
-    log_w = np.empty(len(raw))
-    for i, mat in enumerate(raw):
-        x = alg.from_matrix(a, mat)
-        log_w[i] = dist.riesz_logpdf(rp, x) - dist.wishart_logpdf(prop_params, x)
+    proposals = alg.Points(a, alg.mats_to_coords(a, raw))
+    log_w = dist.riesz_logpdf(rp, proposals) - dist.wishart_logpdf(prop_params, proposals)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
     rng_resample = np.random.default_rng(12)
@@ -238,12 +235,15 @@ def test_csv_roundtrip(tmp_path, rng):
     path = tmp_path / "draws.csv"
     dist.save_samples_csv(path, draws)
     loaded = dist.load_samples_csv(path)
+    assert isinstance(loaded, alg.Points)
     assert len(loaded) == 20
-    assert loaded[0].algebra == a
-    for x, y in zip(draws, loaded):
-        assert_allclose(x.coords, y.coords)
+    assert loaded.algebra == a
+    assert np.array_equal(loaded.coords, draws.coords)
     with pytest.raises(ValidationError):
         dist.save_samples_csv(tmp_path / "empty.csv", [])
+    with pytest.raises(ValidationError):
+        dist.save_samples_csv(tmp_path / "empty.csv", draws[:0])
+    assert not (tmp_path / "empty.csv").exists()
 
 
 def test_density_model_sampling_and_logpdf(rng):
@@ -367,8 +367,80 @@ def test_sampler_matches_lower_triangular_reference(a):
     # Peirce order E_01, E_02, E_12, so both read the same variates
     for params in _riesz_test_params(a, alg.standard_frame(a)):
         rng_batch, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
-        got = np.array([d.coords for d in dist.sample_riesz(params, 500, rng_batch)])
+        got = dist.sample_riesz(params, 500, rng_batch).coords
         want = lower_triangular_riesz_reference(params, 500, rng_ref)
         rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert rel.max() <= 1e-12
         assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
+
+
+def listed_riesz_reference(params, n, rng):
+    """The draws as a list of Elements, one per row of the batched Frobenius chain.
+
+    This is the sampler before it returned a batch; it reads the same
+    variates, in the same order, as :func:`dist.sample_riesz`.
+    """
+    a = params.algebra
+    r = a.rank
+    frame = params.frame
+    basis = peirce.build_peirce_basis(frame)
+    alphas = rng.gamma(shape=dist.gamma_shapes(params.s, a), size=(n, r))
+    normals = rng.standard_normal((n, a.dim - r))
+    z_rows = [np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)]) for j in range(r - 1)]
+    blocks = np.split(normals, np.cumsum([len(rows) for rows in z_rows])[:-1], axis=1)
+    y = alphas @ np.array([c.coords for c in frame])
+    for j in range(r - 2, -1, -1):
+        z = (blocks[j] / np.sqrt(alphas[:, j, None])) @ z_rows[j]
+        y = tri.batch_frobenius(frame, j, z, y)
+    if np.max(np.abs(params.a.coords - alg.identity(a).coords)) >= 1e-14:
+        y = tri.as_endomorphism(tri.triangular_decompose(alg.inverse(params.a), frame)).apply_batch(y)
+    return [alg.Element(a, row) for row in y]
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+@pytest.mark.parametrize("rotate", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize(
+    "a", [alg.sym_real(1), alg.sym_real(3), alg.herm_complex(3), alg.lorentz(4)], ids=lambda a: a.name
+)
+def test_sampler_batch_equals_the_listed_draws_bit_for_bit(a, rotate, n):
+    frame = alg.standard_frame(a)
+    if rotate:
+        rot = alg.random_automorphism_k(a, np.random.default_rng(42))
+        frame = alg.JordanFrame(tuple(rot.apply(c) for c in frame))
+    for params in _riesz_test_params(a, frame):
+        rng_batch, rng_ref = np.random.default_rng(19), np.random.default_rng(19)
+        draws = dist.sample_riesz(params, n, rng_batch)
+        want = listed_riesz_reference(params, n, rng_ref)
+        assert isinstance(draws, alg.Points) and draws.algebra == a
+        assert draws.coords.shape == (n, a.dim)
+        assert np.array_equal(draws.coords, np.array([x.coords for x in want]).reshape(n, a.dim))
+        assert all(np.array_equal(x.coords, y.coords) for x, y in zip(draws, want))
+        assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
+def test_batched_densities_match_one_row_calls(a, rng):
+    frame = alg.standard_frame(a)
+    scale = alg.random_cone_element(a, rng, 0.8, 1.6)
+    wp = dist.WishartParams(a.dim / a.rank + 0.7, scale)
+    rp = _riesz_test_params(a, frame)[1]
+    densities = {
+        "riesz": lambda x: dist.riesz_logpdf(rp, x),
+        "wishart": lambda x: dist.wishart_logpdf(wp, x),
+        "riesz_model": dist.riesz_model(rp, ma.w2(frame)).logpdf,
+        "wishart_model": dist.wishart_model(wp, ma.w1(a)).logpdf,
+    }
+    inside = alg.random_cone_points(a, 40, rng, 0.2, 5.0)
+    mixed = frame[0].coords - frame[1].coords  # eigenvalues 1 and -1
+    batch = alg.Points(a, np.vstack([inside, -inside[:5], mixed, np.zeros(a.dim)]))
+    for name, logpdf in densities.items():
+        got = logpdf(batch)
+        assert got.shape == (len(batch),), name
+        one_row = [logpdf(x) for x in batch]
+        assert all(isinstance(value, float) for value in one_row), name
+        assert_allclose(got[:40], one_row[:40], rtol=0, atol=1e-12, err_msg=name)
+        assert np.all(np.isfinite(got[:40])), name
+        assert np.all(got[40:] == -np.inf) and np.all(np.array(one_row[40:]) == -np.inf), name
+        assert logpdf(batch[:0]).shape == (0,), name
+    with pytest.raises(ValidationError):
+        dist.riesz_logpdf(rp, alg.Points(alg.lorentz(7), np.ones((2, 8))))

@@ -11,7 +11,7 @@ from conelab import lukacs as lk
 from conelab.peirce import PowerExponent
 from conelab.errors import ContractError, DomainError, InsufficientSampleError
 
-from conftest import ALGEBRAS
+from conftest import ALGEBRAS, ks_distance_to_uniform
 
 
 def make_models(a, w, p1=None, p2=None, rng=None):
@@ -207,6 +207,22 @@ def test_independence_report_contract(rng):
         lk.independence_test(sx, sy[:100], w, n_perm=9, rng=rng)
 
 
+def test_independence_test_reads_the_batch_as_its_stacked_array(rng):
+    a = alg.herm_complex(2)
+    w = ma.w2(alg.standard_frame(a))
+    mx, my, _ = make_models(a, w, rng=rng)
+    sx = mx.sample(400, rng)
+    sy = my.sample(400, rng)
+    rng_batch, rng_array = np.random.default_rng(7), np.random.default_rng(7)
+    rep = lk.independence_test(sx, sy, w, n_perm=49, rng=rng_batch, max_points=300)
+    x = np.array([s.coords for s in sx])
+    y = np.array([s.coords for s in sy])
+    u, v = lk.batch_quotient(w, x, y)
+    want = _stats.dcor_permutation_test(_stats.whiten(u), _stats.whiten(v), 49, rng_array, 300)
+    assert (rep.statistic, rep.p_value, rep.n_used) == want
+    assert rng_batch.bit_generator.state == rng_array.bit_generator.state
+
+
 def test_independence_matched_vs_mismatched(rng):
     a = alg.sym_real(2)
     w = ma.w1(a)
@@ -241,7 +257,7 @@ def test_null_p_values_are_uniform():
         sy = my.sample(250, rng)
         rep = lk.independence_test(sx, sy, w, n_perm=99, rng=rng, max_points=250)
         p_values.append(rep.p_value)
-    assert _stats.ks_distance_to_uniform(np.array(p_values)) <= 0.12
+    assert ks_distance_to_uniform(np.array(p_values)) <= 0.12
 
 
 def test_rotation_identity_gives_equal_samples(rng):
@@ -250,9 +266,7 @@ def test_rotation_identity_gives_equal_samples(rng):
     mx, my, _ = make_models(a, w, rng=rng)
     sx = mx.sample(300, rng)
     sy = my.sample(300, rng)
-    x = np.array([s.coords for s in sx])
-    y = np.array([s.coords for s in sy])
-    u, _ = lk.batch_quotient(w, x, y)
+    u, _ = lk.batch_quotient(w, sx.coords, sy.coords)
     k = alg.Endomorphism.identity(a)
     assert_allclose(u @ k.matrix.T, u)
 

@@ -27,7 +27,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conelab import algebra as alg
@@ -44,8 +44,12 @@ KINDS = (
 MATRIX_KINDS = [alg.sym_real(r) for r in range(1, 9)] + [alg.herm_complex(r) for r in range(1, 7)]
 EVERY_KIND = MATRIX_KINDS + [alg.lorentz(n) for n in range(2, 17)]
 
-# derandomized: every run draws the same examples
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=5)
+# derandomized: every run draws the same examples.  No shrinking: a failing
+# example here is an expensive cone computation, and shrinking it ran a failing
+# test for minutes; the unshrunk example fails the same way
+PROPERTY = settings(
+    derandomize=True, deadline=None, max_examples=5, phases=tuple(p for p in Phase if p != Phase.shrink)
+)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
