@@ -330,6 +330,11 @@ def norm(x: Element) -> float:
     return float(np.sqrt(x.algebra.inner_scale) * np.linalg.norm(x.coords))
 
 
+def batch_norm(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
+    """Trace-form norms of (n, dim) coordinate rows, shape (n,)."""
+    return np.sqrt(algebra.inner_scale) * np.linalg.norm(coords, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # endomorphisms
 # ---------------------------------------------------------------------------
@@ -779,28 +784,22 @@ def axiom_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator
     Residuals are normalized by the product of the operand norms, so the
     reported values are scale free.
     """
-    scale = np.sqrt(algebra.inner_scale)
     x = rng.standard_normal((n, algebra.dim))
     y = rng.standard_normal((n, algebra.dim))
     z = rng.standard_normal((n, algebra.dim))
-    nx = scale * np.linalg.norm(x, axis=1)
-    ny = scale * np.linalg.norm(y, axis=1)
-    nz = scale * np.linalg.norm(z, axis=1)
-
-    def rownorm(arr):
-        return scale * np.linalg.norm(arr, axis=1)
+    nx, ny, nz = (batch_norm(algebra, v) for v in (x, y, z))
 
     xy = batch_jordan_product(algebra, x, y)
     yx = batch_jordan_product(algebra, y, x)
-    commutativity = float(np.max(rownorm(xy - yx) / (nx * ny)))
+    commutativity = float(np.max(batch_norm(algebra, xy - yx) / (nx * ny)))
 
     xx = batch_jordan_product(algebra, x, x)
     lhs = batch_jordan_product(algebra, x, batch_jordan_product(algebra, xx, y))
     rhs = batch_jordan_product(algebra, xx, xy)
-    jordan_identity = float(np.max(rownorm(lhs - rhs) / (nx**3 * ny)))
+    jordan_identity = float(np.max(batch_norm(algebra, lhs - rhs) / (nx**3 * ny)))
 
     e = identity(algebra).coords[None, :]
-    neutrality = float(np.max(rownorm(batch_jordan_product(algebra, x, e) - x) / nx))
+    neutrality = float(np.max(batch_norm(algebra, batch_jordan_product(algebra, x, e) - x) / nx))
 
     yz = batch_jordan_product(algebra, y, z)
     form_lhs = algebra.inner_scale * np.sum(x * yz, axis=1)

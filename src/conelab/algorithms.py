@@ -9,8 +9,9 @@ An algorithm is defined only by its two row maps, which apply w(x) or
 g(x) = w(x)^{-1} to (n, dim) coordinate batches
 (:meth:`MultiplicationAlgorithm.apply_batch` and
 :meth:`MultiplicationAlgorithm.solve_batch`).  Everything else is derived
-from them: the matrix w(x) is the image of the coordinate basis under one
-broadcast x row, and :func:`multiply` and :func:`divide` are one-row calls.
+from them: the matrices w(x_i) are the images of the coordinate basis
+(:meth:`MultiplicationAlgorithm.matrices`), and :func:`multiply` and
+:func:`divide` are one-row calls.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from .algebra import (
     Endomorphism,
     JordanFrame,
     batch_eigenvalues,
+    batch_norm,
     batch_powers,
     batch_quad_rep,
-    determinant,
-    eigenvalues,
     identity,
     norm,
     random_automorphism_k,
-    random_cone_element,
+    random_cone_points,
     require_in_cone,
     standard_frame,
 )
@@ -49,8 +49,8 @@ class MultiplicationAlgorithm:
 
     ``batch_apply`` and ``batch_solve`` map coordinate rows (x_i, y_i) to
     w(x_i) y_i and g(x_i) y_i without forming w(x_i); a single x row is
-    broadcast over every y row.  Calling the algorithm on one point builds
-    the matrix w(x) from ``batch_apply``.
+    broadcast over every y row.  Calling the algorithm on one point is the
+    one-row call of :meth:`matrices`.
     """
 
     kind: str
@@ -64,9 +64,18 @@ class MultiplicationAlgorithm:
 
     def __call__(self, x: Element) -> Endomorphism:
         require_in_cone(x, "multiplication algorithm argument")
-        # column j is w(x) b_j: one x row against the rows of the coordinate basis
-        columns = self.batch_apply(x.coords[None, :], np.eye(self.algebra.dim))
-        return Endomorphism(self.algebra, columns.T)
+        return Endomorphism(self.algebra, self.matrices(x.coords[None, :])[0])
+
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """The matrices w(x_i) of (n, dim) rows x, shape (n, dim, dim), from one apply_batch.
+
+        Column k of w(x_i) is w(x_i) b_k: each x row is repeated against the dim
+        rows of the coordinate basis, and a single x row is broadcast instead.
+        """
+        dim = self.algebra.dim
+        rows = x if len(x) == 1 else np.repeat(x, dim, axis=0)
+        columns = self.apply_batch(rows, np.tile(np.eye(dim), (len(x), 1)))
+        return columns.reshape(len(x), dim, dim).transpose(0, 2, 1)
 
     def apply_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows w(x_i) y_i for (n, dim) y and x of n rows or of one row, broadcast;
@@ -288,28 +297,31 @@ def check_algorithm(
     homogeneity_tol: float = 1e-9,
 ) -> AlgorithmReport:
     """Measure neutrality, cone preservation, degree-1 scaling and the
-    endomorphism-determinant law DDet(w(y)) = (det y)^(dim/r)."""
+    endomorphism-determinant law DDet(w(y)) = (det y)^(dim/r).
+
+    Every residual is read from the stacked matrices w(x_i) and w(s_i x_i).
+    """
     algebra = w.algebra
-    e = identity(algebra)
     exponent = algebra.dim / algebra.rank
-    # one row per sample; np.max keeps a NaN, so it fails every gate
-    found = np.zeros((sample_count, 5))
-    for i in range(sample_count):
-        x = random_cone_element(algebra, rng, 0.2, 5.0)
-        wx = w(x)
-        y = random_cone_element(algebra, rng, 0.2, 5.0)
-        s = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        ws = w(s * x)
-        dd = wx.ddet()
-        found[i] = (
-            norm(wx.apply(e) - x) / max(norm(x), 1.0),
-            np.maximum(0.0, -eigenvalues(wx.apply(y)).min()),
-            np.max(np.abs(ws.matrix - s * wx.matrix)) / max(s, 1.0),
-            np.max(np.abs(np.linalg.inv(ws.matrix) - np.linalg.inv(wx.matrix) / s)),
-            abs(dd - determinant(x) ** exponent) / abs(dd),
-        )
+    x = random_cone_points(algebra, sample_count, rng, 0.2, 5.0)
+    y = random_cone_points(algebra, sample_count, rng, 0.2, 5.0)
+    s = np.exp(rng.uniform(np.log(0.25), np.log(4.0), sample_count))
+    wx = w.matrices(x)
+    ws = w.matrices(s[:, None] * x)
+    scale = s[:, None, None]
+    dd = np.linalg.det(wx)
+    det_x = np.prod(batch_eigenvalues(algebra, x), axis=1)
+    wx_y = (wx @ y[:, :, None])[:, :, 0]
+    # np.max keeps a NaN, so it fails every gate
     neutrality, cone_violation, homogeneity, divide_scaling, ddet_rel = (
-        float(v) for v in np.max(found, axis=0, initial=0.0)
+        float(np.max(v, initial=0.0))
+        for v in (
+            batch_norm(algebra, wx @ identity(algebra).coords - x) / np.maximum(batch_norm(algebra, x), 1.0),
+            np.maximum(0.0, -np.min(batch_eigenvalues(algebra, wx_y), axis=1)),
+            np.max(np.abs(ws - scale * wx), axis=(1, 2)) / np.maximum(s, 1.0),
+            np.max(np.abs(np.linalg.inv(ws) - np.linalg.inv(wx) / scale), axis=(1, 2)),
+            np.abs(dd - det_x**exponent) / np.abs(dd),
+        )
     )
     return AlgorithmReport(
         spec=w.spec or w.kind,

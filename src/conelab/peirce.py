@@ -276,13 +276,21 @@ def principal_minor(x: Element, k: int, frame) -> float:
 def batch_generalized_power_log(frame: JordanFrame, coords: np.ndarray, s) -> np.ndarray:
     """log Delta_s of each row of an (n, dim) coordinate array, shape (n,).
 
+    ``s`` is one exponent for every row, or an (n, r) array of one per row.
     log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x); needs every Delta_k > 0.
     """
-    svec = exponent_vector(s, frame.algebra.rank)
+    rank = frame.algebra.rank
+    svec = np.asarray(s, dtype=float) if np.ndim(s) == 2 else exponent_vector(s, rank)
+    if svec.ndim == 2 and svec.shape != (len(coords), rank):
+        raise ValidationError(f"per-row exponents need shape ({len(coords)}, {rank}), got {svec.shape}")
     minors = principal_minors(frame, coords)
     if np.any(minors <= 0.0):
         raise DomainError("generalized power needs all principal minors positive")
-    return np.log(minors) @ (svec - np.append(svec[1:], 0.0))
+    weights = svec.copy()
+    weights[..., :-1] -= svec[..., 1:]
+    if weights.ndim == 1:
+        return np.log(minors) @ weights
+    return np.einsum("nk,nk->n", np.log(minors), weights)
 
 
 def generalized_power_log(x: Element, s, frame) -> float:

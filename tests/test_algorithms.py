@@ -118,24 +118,26 @@ def test_check_algorithm_homogeneous_cases(a):
 
 
 def test_a_nan_evaluation_fails_check_algorithm_and_the_mult_alg_suite():
-    # the rows are all NaN on the third batch_apply call only; each w(x) is one
-    # call, so that is the second sample's w(x)
+    # the first batch_apply call builds the stacked matrices w(x_i), dim rows per
+    # sample; it returns NaN in the second sample's dim rows, so that w(x) is all NaN
     a = alg.sym_real(2)
     base = ma.w1(a)
 
-    def nan_on_third_call():
+    def nan_in_second_sample():
         calls = [0]
 
         def apply_rows(x, y):
             calls[0] += 1
             rows = base.batch_apply(x, y)
-            return np.full_like(rows, np.nan) if calls[0] == 3 else rows
+            if calls[0] == 1:
+                rows[a.dim : 2 * a.dim] = np.nan
+            return rows
 
         return dataclasses.replace(base, batch_apply=apply_rows)
 
     with np.errstate(invalid="ignore"):
-        report = ma.check_algorithm(nan_on_third_call(), 10, np.random.default_rng(0))
-        checks = cli.suite_mult_alg(a, nan_on_third_call(), np.random.default_rng(0), 10, cli.DEFAULT_TOLERANCES)
+        report = ma.check_algorithm(nan_in_second_sample(), 10, np.random.default_rng(0))
+        checks = cli.suite_mult_alg(a, nan_in_second_sample(), np.random.default_rng(0), 10, cli.DEFAULT_TOLERANCES)
     assert np.isnan(report.neutrality)
     assert np.isnan(report.homogeneity) and not report.homogeneous
     assert not checks["neutrality"]["passed"]
@@ -153,6 +155,31 @@ def test_a_wrong_division_map_fails_the_mult_alg_suite():
     assert not all(c["passed"] for c in bad.values())
     assert [name for name, c in bad.items() if not c["passed"]] == ["divide_roundtrip"]
     assert bad["divide_roundtrip"]["value"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1)], ids=lambda a: a.name)
+def test_stacked_matrices_are_the_one_point_matrices(a, rng):
+    frame = alg.standard_frame(a)
+    specs = ("w1", "w2", "interp:0.25", "kext:w2:3")
+    x = alg.random_cone_points(a, 6, rng, 0.2, 5.0)  # det x on both sides of 1 for piecewise
+    for w in [ma.parse_algorithm(spec, a, frame) for spec in specs] + [ma.piecewise_det(frame)]:
+        stacked = w.matrices(x)
+        assert stacked.shape == (len(x), a.dim, a.dim)
+        for xi, m in zip(x, stacked):
+            assert_allclose(m, w(alg.Element(a, xi)).matrix, rtol=0, atol=1e-13, err_msg=w.spec)
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(1), alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
+def test_check_algorithm_on_no_samples_and_on_rank_one(a):
+    for w in all_algorithms(a):
+        empty = ma.check_algorithm(w, 0, np.random.default_rng(3))
+        assert empty.samples == 0 and empty.homogeneous
+        for key in ("neutrality", "cone_violation", "homogeneity", "divide_scaling", "ddet_rel"):
+            assert getattr(empty, key) == 0.0
+        if a.rank == 1:
+            report = ma.check_algorithm(w, 20, np.random.default_rng(3))
+            assert report.cone_violation == 0.0
+            assert max(report.neutrality, report.homogeneity, report.divide_scaling, report.ddet_rel) <= 1e-14
 
 
 def test_piecewise_algorithm_is_valid_but_not_homogeneous():

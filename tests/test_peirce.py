@@ -230,6 +230,20 @@ def test_generalized_power_properties(a, rng):
         )
 
 
+@pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
+def test_per_row_exponents_match_one_exponent_calls(a, rng):
+    frame = alg.standard_frame(a)
+    x = alg.random_cone_points(a, 5, rng, 0.2, 5.0)
+    s = rng.uniform(-1.5, 1.5, (5, a.rank))
+    got = peirce.batch_generalized_power_log(frame, x, s)
+    want = [peirce.batch_generalized_power_log(frame, xi[None], si)[0] for xi, si in zip(x, s)]
+    assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert peirce.batch_generalized_power_log(frame, x[:0], s[:0]).shape == (0,)
+    for bad in (s[:4], s[:, :-1]):
+        with pytest.raises(ValidationError):
+            peirce.batch_generalized_power_log(frame, x, bad)
+
+
 def test_generalized_power_domain_error():
     a = alg.sym_real(2)
     frame = alg.standard_frame(a)

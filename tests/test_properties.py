@@ -9,7 +9,8 @@ diagonal (Faraut & Korányi 1994, ch. VI).  The Olkin-Baker decomposition
 calls its oracles on whole arrays, a fixed number of times whatever the grid size.
 The batched cone-point draw keeps every row's spectrum in its interval and
 its rows average to E[lambda] e; the K-orbit of a point averages to a
-multiple of e, and the batched rotations have determinant one.  A
+multiple of e, and the batched rotations have determinant one.  The box
+rows behind the batched Frobenius maps are (z box c_j) v row by row.  A
 multiplication algorithm is only its two row maps; the matrix w(x) built
 from them matches the closed forms P(x^{1/2}), t_x, P(x^a) t_{x^{1-2a}} and
 w(x) k (Olkin & Rubin 1962; Faraut & Korányi 1994, ch. VI), and one
@@ -111,6 +112,21 @@ def test_log_cauchy_rows_match_one_row_calls(a, rotated, seed):
         assert values.shape == (len(xs),)
         for x, value in zip(xs, values):
             assert f(x) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("a", KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_box_rows_are_the_box_operator_applied_row_by_row(a, rotated, seed):
+    frame, _, _ = frame_and_points(a, rotated, seed, n=0)
+    rng = np.random.default_rng(seed)
+    z, v = rng.standard_normal((2, 3, a.dim))
+    for j in range(a.rank):
+        rows = tri.box_rows(frame, j, z, z @ alg.lmap(frame[j]).matrix.T, v)
+        for zi, vi, row in zip(z, v, rows):
+            want = tri.box_operator(alg.Element(a, zi), frame[j]).matrix @ vi
+            assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 def reference_w(w, x):

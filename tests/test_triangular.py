@@ -175,7 +175,7 @@ def test_roundtrip_random_cone_points(a, rng):
     for _ in range(100):
         x = alg.random_cone_element(a, rng, 0.1, 10.0)
         t = tri.triangular_decompose(x, frame)
-        worst = max(worst, alg.norm(tri.apply_triangular(t, e) - x) / alg.norm(x))
+        worst = max(worst, alg.norm(tri.as_endomorphism(t).apply(e) - x) / alg.norm(x))
     assert worst <= 1e-9
 
 
@@ -187,9 +187,9 @@ def test_power_function_cocycle(a, rng):
         t = tri.triangular_decompose(alg.random_cone_element(a, rng), frame)
         x = alg.random_cone_element(a, rng)
         s = rng.uniform(-1.5, 1.5, a.rank)
-        lhs = peirce.generalized_power_log(tri.apply_triangular(t, x), s, frame)
+        lhs = peirce.generalized_power_log(tri.as_endomorphism(t).apply(x), s, frame)
         rhs = peirce.generalized_power_log(
-            tri.apply_triangular(t, e), s, frame
+            tri.as_endomorphism(t).apply(e), s, frame
         ) + peirce.generalized_power_log(x, s, frame)
         assert abs(lhs - rhs) < 1e-9
 
@@ -205,7 +205,7 @@ def test_adjoint_contract_and_transpose(rng):
         alg.inner(x, tri.adjoint(t).apply(y)), rel=1e-12, abs=1e-12
     )
     # in matrix form: t x = T x T^t implies t* x = T^t x T
-    chol = np.linalg.cholesky(tri.apply_triangular(t, alg.identity(a)).to_matrix())
+    chol = np.linalg.cholesky(tri.as_endomorphism(t).apply(alg.identity(a)).to_matrix())
     got = tri.adjoint(t).apply(x).to_matrix()
     assert_allclose(got, chol.T @ x.to_matrix() @ chol, atol=1e-9)
 
@@ -266,6 +266,21 @@ def test_batch_frobenius_matches_frobenius_transform(rng):
         assert_allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [alg.sym_real(1), alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
+def test_identity_residuals_on_no_samples_and_on_rank_one(a):
+    frame = alg.standard_frame(a)
+    assert tri.triangular_identity_residuals(frame, 0, np.random.default_rng(3)) == {
+        "roundtrip": 0.0,
+        "power_cocycle": 0.0,
+        "frobenius_unit_power": 0.0,
+        "box_nilpotency": 0.0,
+    }
+    if a.rank == 1:  # no Frobenius factor: those two keys are exactly zero
+        found = tri.triangular_identity_residuals(frame, 20, np.random.default_rng(3))
+        assert found["frobenius_unit_power"] == found["box_nilpotency"] == 0.0
+        assert max(found["roundtrip"], found["power_cocycle"]) <= 1e-14
+
+
 def test_frame_only_projectors_are_built_once():
     a = alg.sym_real(3)
     frame = alg.JordanFrame(alg.standard_frame(a).elements)
@@ -278,24 +293,23 @@ def test_frame_only_projectors_are_built_once():
 
 
 def _plus_identity(fn, eps):
-    """fn with eps * I added to the endomorphism it returns."""
+    """fn plus eps times the identity: eps times its last argument, the rows it maps, is added."""
 
-    def broken(*args, **kwargs):
-        m = fn(*args, **kwargs)
-        return alg.Endomorphism(m.algebra, m.matrix + eps * np.eye(m.algebra.dim))
+    def broken(*args):
+        return fn(*args) + eps * args[-1]
 
     return broken
 
 
 @pytest.mark.parametrize(
-    "name, breaker, failing",
+    "owner, name, breaker, failing",
     [
-        ("apply_triangular", None, None),
-        ("apply_triangular", lambda f: lambda t, y: 1.001 * f(t, y), "roundtrip"),
-        ("apply_triangular", lambda f: lambda t, y: f(t, y) + 1e-3 * alg.identity(y.algebra), "power_cocycle"),
-        ("frobenius_transform", lambda f: _plus_identity(f, 1e-3), "frobenius_unit_power"),
-        ("box_operator", lambda f: _plus_identity(f, 1e-3), "box_nilpotency"),
-        ("norm", lambda f: lambda x: float("nan"), "roundtrip"),
+        (tri.TriangularBatch, "apply", None, None),
+        (tri.TriangularBatch, "apply", lambda f: lambda t, y: 1.001 * f(t, y), "roundtrip"),
+        (tri.TriangularBatch, "apply", lambda f: lambda t, y: f(t, y) + 1e-3 * alg.identity(t.frame.algebra).coords, "power_cocycle"),
+        (tri, "batch_frobenius", lambda f: _plus_identity(f, 1e-3), "frobenius_unit_power"),
+        (tri, "box_rows", lambda f: _plus_identity(f, 1e-3), "box_nilpotency"),
+        (tri, "batch_norm", lambda f: lambda algebra, coords: np.full(len(coords), np.nan), "roundtrip"),
     ],
     ids=[
         "intact",
@@ -306,10 +320,14 @@ def _plus_identity(fn, eps):
         "nan-residual",
     ],
 )
-def test_suite_triangular_flags_a_broken_ingredient(monkeypatch, name, breaker, failing):
-    """The shared triangular residuals rise above the suite thresholds when an ingredient is wrong."""
+def test_suite_triangular_flags_a_broken_ingredient(monkeypatch, owner, name, breaker, failing):
+    """The shared triangular residuals rise above the suite thresholds when an ingredient is wrong.
+
+    The ingredients are the batched ones the residuals call: the group action
+    on rows, the Frobenius row map, the box-operator rows and the row norm.
+    """
     if breaker is not None:
-        monkeypatch.setattr(tri, name, breaker(getattr(tri, name)))
+        monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
     rng = np.random.default_rng(5)
     checks = cli.suite_triangular(alg.sym_real(3), None, rng, 20, cli.DEFAULT_TOLERANCES)
     failed = {key for key, check in checks.items() if not check["passed"]}
