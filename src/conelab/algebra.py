@@ -581,8 +581,8 @@ class JordanFrame:
 
     Hashable by identity.  Maps that depend on the frame alone (the
     projections onto the leading subalgebras, the Peirce half spaces, the
-    strict-upper projections of the triangular group) are built on first use
-    and kept for the frame's lifetime; see :meth:`cached`.
+    strict-upper projections and half-space box tensors of the triangular
+    group) are built on first use and kept for the frame's lifetime.
     """
 
     def __init__(self, elements, validate: bool = True, tol: float = IDEMPOTENT_TOL):

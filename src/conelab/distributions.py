@@ -45,7 +45,7 @@ from .algebra import (
 from .errors import DomainError, ValidationError
 from .funceq import LogCauchyFn, delta_s_log, log_det_power
 from .peirce import PowerExponent, build_peirce_basis, exponent_vector, generalized_power_log
-from .triangular import as_endomorphism, batch_frobenius, triangular_decompose
+from .triangular import batch_frobenius, batch_triangular_decompose
 
 # ---------------------------------------------------------------------------
 # the cone Gamma function
@@ -194,12 +194,13 @@ def random_in_domain_D(
 # ---------------------------------------------------------------------------
 
 
-def _scale_endomorphism(params: RieszParams):
-    """The triangular element sending e to a^{-1} (identity when a = e)."""
+def _scale_matrix(params: RieszParams):
+    """Matrix of the triangular element sending e to a^{-1} (None when a = e); its columns are t b_k."""
     algebra = params.algebra
     if np.max(np.abs(params.a.coords - identity(algebra).coords)) < 1e-14:
         return None
-    return as_endomorphism(triangular_decompose(inverse(params.a), params.frame))
+    a_inv = np.tile(inverse(params.a).coords, (algebra.dim, 1))
+    return batch_triangular_decompose(a_inv, params.frame).apply(np.eye(algebra.dim)).T
 
 
 def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator) -> Points:
@@ -228,9 +229,9 @@ def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator) -> Point
     for j in range(r - 2, -1, -1):
         z = (blocks[j] / np.sqrt(alphas[:, j, None])) @ z_rows[j]
         y = batch_frobenius(frame, j, z, y)
-    scale = _scale_endomorphism(params)
+    scale = _scale_matrix(params)
     if scale is not None:
-        y = scale.apply_batch(y)
+        y = y @ scale.T
     return Points(algebra, y)
 
 

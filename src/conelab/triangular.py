@@ -4,11 +4,13 @@ The triangular group of a frame (c_1, ..., c_r) follows Faraut & Korányi,
 *Analysis on Symmetric Cones* (1994), ch. VI.  Each cone point x is t_x e for
 a unique t_x = tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k).
 The ``batch_*`` functions are the implementation: they work on (n, dim)
-coordinate arrays, using only batched Jordan products and the frame's cached
-projections.  The scalar :func:`triangular_decompose` is a one-row call of
+coordinate arrays and the frame's cached arrays; a Frobenius step is one
+contraction with the half-space box tensor of :func:`half_box`, with no
+Jordan product.  The scalar :func:`triangular_decompose` is a one-row call of
 :func:`batch_triangular_decompose`; only :func:`box_operator`,
 :func:`frobenius_transform` and :func:`as_endomorphism`, which build their
-maps as matrices, work on one :class:`~conelab.algebra.Element` directly.
+maps as matrices, work on one :class:`~conelab.algebra.Element` directly;
+they are the tests' references.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> di
     ``frobenius_unit_power`` |log Delta_s(tau_{c_i}(z) e)| and
     ``box_nilpotency`` max |N^3| for N = 2 z box c_i, z in the span of E_ik, k > i.
     One pass over (n, dim) arrays; the samples with the same index i share
-    each Frobenius and box call.
+    one Frobenius call and read their N from the tensor of :func:`half_box`.
     """
     basis = build_peirce_basis(frame)
     frame = basis.frame
@@ -163,13 +165,9 @@ def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> di
             at = index == j
             z = gauss[at, : len(rows)] @ rows
             unit[at] = batch_frobenius(frame, j, z, e[at])
-            # N^3 on the dim basis rows of each sample: the columns of its matrix
-            v = np.tile(np.eye(dim), (len(z), 1))
-            z = np.repeat(z, dim, axis=0)
-            zc = z @ _lmap_t(frame, j)
-            for _ in range(3):
-                v = 2.0 * box_rows(frame, j, z, zc, v)
-            cube[at] = np.max(np.abs(v).reshape(-1, dim * dim), axis=1)
+            half, tensor = half_box(frame, j)
+            mats = np.einsum("nc,acb->nab", z @ half.T, tensor.reshape(dim, len(half), dim))
+            cube[at] = np.max(np.abs(mats @ mats @ mats).reshape(-1, dim * dim), axis=1)
     logs = batch_generalized_power_log(frame, np.concatenate((ty, te, y, unit)), np.tile(s, (4, 1)))
     log_ty, log_te, log_y, log_unit = logs.reshape(4, n)
     found = {
@@ -195,7 +193,7 @@ def _lmap_t(frame: JordanFrame, j: int) -> np.ndarray:
 def box_rows(frame: JordanFrame, j: int, z: np.ndarray, zc: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows of (z_i box c_j) v_i = (z c) v + z (c v) - c (z v), given the rows zc = z L(c_j).
 
-    Products with c go through the frame's cached L(c_j).
+    Products with c go through the frame's cached L(c_j); only :func:`half_box` calls it.
     """
     algebra = frame.algebra
     lc_t = _lmap_t(frame, j)
@@ -206,16 +204,40 @@ def box_rows(frame: JordanFrame, j: int, z: np.ndarray, zc: np.ndarray, v: np.nd
     )
 
 
-def batch_frobenius(frame: JordanFrame, j: int, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows of tau_{c_j}(z_i) y_i = y + N y + N^2 y / 2 with N = 2 z box c_j (:func:`box_rows`).
+def half_box(frame: JordanFrame, j: int) -> tuple:
+    """The frame-only arrays ``(basis, tensor)`` of N = 2 z box c_j, cached on the frame.
 
-    ``z`` holds (n, dim) rows in the half space of c = c_j; no projection is
-    applied.  z L(c_j) is computed once for both applications of N.
+    ``basis`` is a (k, dim) orthonormal basis b_1, ..., b_k of the Peirce half
+    space V_{1/2}(c_j), k = (r - 1) d, from :func:`half_projector`.  Block c
+    of the (dim, k*dim) ``tensor`` is the row map v -> 2 (b_c box c_j) v, from
+    :func:`box_rows` on the k*dim basis pairs.  Built on first use, read-only.
     """
-    zc = z @ _lmap_t(frame, j)
+
+    def build() -> tuple:
+        eigval, eigvec = np.linalg.eigh(half_projector(frame, j).matrix)
+        basis = np.ascontiguousarray(eigvec[:, eigval > 0.5].T)
+        k, dim = basis.shape
+        z = np.repeat(basis, dim, axis=0)
+        rows = 2.0 * box_rows(frame, j, z, z @ _lmap_t(frame, j), np.tile(np.eye(dim), (k, 1)))
+        tensor = np.ascontiguousarray(rows.reshape(k, dim, dim).transpose(1, 0, 2).reshape(dim, k * dim))
+        basis.flags.writeable = tensor.flags.writeable = False
+        return basis, tensor
+
+    return frame.cached(("half_box", j), build)
+
+
+def batch_frobenius(frame: JordanFrame, j: int, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows of tau_{c_j}(z_i) y_i = y + N y + N^2 y / 2 with N = 2 z box c_j.
+
+    ``z`` holds (n, dim) rows in the half space V_{1/2}(c_j), read through
+    their coordinates in the :func:`half_box` basis: a component outside that
+    space is dropped.  N v contracts those coordinates with v @ tensor.
+    """
+    basis, tensor = half_box(frame, j)
+    coef = z @ basis.T
 
     def n_apply(v: np.ndarray) -> np.ndarray:
-        return 2.0 * box_rows(frame, j, z, zc, v)
+        return np.einsum("nc,nck->nk", coef, (v @ tensor).reshape(len(v), len(basis), len(tensor)))
 
     ny = n_apply(y)
     return y + ny + 0.5 * n_apply(ny)

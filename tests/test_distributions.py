@@ -378,7 +378,9 @@ def listed_riesz_reference(params, n, rng):
     """The draws as a list of Elements, one per row of the batched Frobenius chain.
 
     This is the sampler before it returned a batch; it reads the same
-    variates, in the same order, as :func:`dist.sample_riesz`.
+    variates, in the same order, as :func:`dist.sample_riesz`, and applies
+    the same scale matrix (held to the scalar group element by
+    :func:`test_scale_matrix_is_the_group_element_sending_e_to_the_inverse_scale`).
     """
     a = params.algebra
     r = a.rank
@@ -393,8 +395,26 @@ def listed_riesz_reference(params, n, rng):
         z = (blocks[j] / np.sqrt(alphas[:, j, None])) @ z_rows[j]
         y = tri.batch_frobenius(frame, j, z, y)
     if np.max(np.abs(params.a.coords - alg.identity(a).coords)) >= 1e-14:
-        y = tri.as_endomorphism(tri.triangular_decompose(alg.inverse(params.a), frame)).apply_batch(y)
+        y = y @ dist._scale_matrix(params).T
     return [alg.Element(a, row) for row in y]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize(
+    "a", [alg.sym_real(1), alg.sym_real(3), alg.herm_complex(3), alg.lorentz(4)], ids=lambda a: a.name
+)
+def test_scale_matrix_is_the_group_element_sending_e_to_the_inverse_scale(a, rotate):
+    frame = alg.standard_frame(a)
+    if rotate:
+        rot = alg.random_automorphism_k(a, np.random.default_rng(42))
+        frame = alg.JordanFrame(tuple(rot.apply(c) for c in frame))
+    identity_scale, params = _riesz_test_params(a, frame)
+    assert dist._scale_matrix(identity_scale) is None
+    got = dist._scale_matrix(params)
+    a_inv = alg.inverse(params.a)
+    want = tri.as_endomorphism(tri.triangular_decompose(a_inv, frame)).matrix
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert_allclose(got @ alg.identity(a).coords, a_inv.coords, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 500])

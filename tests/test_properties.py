@@ -10,7 +10,9 @@ calls its oracles on whole arrays, a fixed number of times whatever the grid siz
 The batched cone-point draw keeps every row's spectrum in its interval and
 its rows average to E[lambda] e; the K-orbit of a point averages to a
 multiple of e, and the batched rotations have determinant one.  The box
-rows behind the batched Frobenius maps are (z box c_j) v row by row.  A
+rows behind the cached half-space box tensor are (z box c_j) v row by row,
+and the Frobenius steps read through that tensor are tau_{c_j}(z) for z
+anywhere in the half space, on no rows, at rank one and on lorentz(2).  A
 multiplication algorithm is only its two row maps; the matrix w(x) built
 from them matches the closed forms P(x^{1/2}), t_x, P(x^a) t_{x^{1-2a}} and
 w(x) k (Olkin & Rubin 1962; Faraut & Korányi 1994, ch. VI), and one
@@ -127,6 +129,57 @@ def test_box_rows_are_the_box_operator_applied_row_by_row(a, rotated, seed):
         for zi, vi, row in zip(z, v, rows):
             want = tri.box_operator(alg.Element(a, zi), frame[j]).matrix @ vi
             assert_allclose(row, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("a", KINDS, ids=lambda a: a.name)
+@PROPERTY
+@given(seed=SEEDS)
+def test_batch_frobenius_is_the_frobenius_transform_on_the_whole_half_space(a, rotated, seed):
+    frame, _, _ = frame_and_points(a, rotated, seed, n=0)
+    rng = np.random.default_rng(seed)
+    v, y = rng.standard_normal((2, 3, a.dim))
+    for j in range(a.rank):
+        half = peirce.half_projector(frame, j).matrix
+        basis, tensor = tri.half_box(frame, j)
+        assert basis.shape == ((a.rank - 1) * a.peirce_d, a.dim)
+        assert tensor.shape == (a.dim, len(basis) * a.dim)
+        assert_allclose(basis @ basis.T, np.eye(len(basis)), rtol=0, atol=1e-12)
+        assert_allclose(basis.T @ basis, half, rtol=0, atol=1e-12)
+        z = v @ half.T
+        got = tri.batch_frobenius(frame, j, z, y)
+        for zi, yi, row in zip(z, y, got):
+            want = tri.frobenius_transform(frame[j], alg.Element(a, zi), peirce.half_projector(frame, j))
+            assert_allclose(row, want.matrix @ yi, rtol=0, atol=1e-12)
+        # a component of z outside the half space is dropped
+        assert_allclose(tri.batch_frobenius(frame, j, v, y), got, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(1), alg.herm_complex(1), alg.lorentz(2)], ids=lambda a: a.name)
+def test_frobenius_steps_on_no_rows_rank_one_and_the_smallest_lorentz(a):
+    """Rank one has an empty half space; lorentz(2) has d = 1, a one-dimensional one."""
+    frame = alg.standard_frame(a)
+    rng = np.random.default_rng(4)
+    none = np.zeros((0, a.dim))
+    for j in range(a.rank):
+        basis, tensor = tri.half_box(frame, j)
+        assert basis.shape == ((a.rank - 1) * a.peirce_d, a.dim)
+        assert tensor.shape == (a.dim, len(basis) * a.dim)
+        assert tri.batch_frobenius(frame, j, none, none).shape == (0, a.dim)
+        z, y = rng.standard_normal((2, 3, a.dim))
+        got = tri.batch_frobenius(frame, j, z, y)
+        for zi, yi, row in zip(z, y, got):
+            want = tri.frobenius_transform(frame[j], alg.Element(a, zi)).matrix @ yi
+            assert_allclose(row, want, rtol=0, atol=1e-12)
+        if a.rank == 1:
+            assert np.array_equal(got, y)
+    batch = tri.batch_triangular_decompose(none, frame)
+    assert batch.apply(none).shape == batch.solve(none).shape == (0, a.dim)
+    x = alg.random_cone_points(a, 5, rng, 0.2, 5.0)
+    batch = tri.batch_triangular_decompose(x, frame)
+    e = np.tile(alg.identity(a).coords, (5, 1))
+    assert_allclose(batch.apply(e), x, rtol=0, atol=1e-12)
+    assert_allclose(batch.solve(x), e, rtol=0, atol=1e-12)
 
 
 def reference_w(w, x):

@@ -254,18 +254,6 @@ def test_batch_decompose_matches_scalar(a, rng):
         assert_allclose(batch.solve(np.array([x.coords for x in xs])), e, atol=1e-12)
 
 
-def test_batch_frobenius_matches_frobenius_transform(rng):
-    a = alg.herm_complex(3)
-    frame = alg.standard_frame(a)
-    basis = peirce.build_peirce_basis(frame)
-    for j in range(a.rank - 1):
-        zs = [half_space_sample(a, frame, basis, j, rng) for _ in range(4)]
-        ys = rng.standard_normal((4, a.dim))
-        got = tri.batch_frobenius(frame, j, np.array([z.coords for z in zs]), ys)
-        want = [tri.frobenius_transform(frame[j], z).matrix @ y for z, y in zip(zs, ys)]
-        assert_allclose(got, want, atol=1e-12)
-
-
 @pytest.mark.parametrize("a", [alg.sym_real(1), alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
 def test_identity_residuals_on_no_samples_and_on_rank_one(a):
     frame = alg.standard_frame(a)
@@ -290,6 +278,13 @@ def test_frame_only_projectors_are_built_once():
         half = peirce.peirce_projectors(frame[j])[0.5].matrix
         assert_allclose(peirce.half_projector(frame, j).matrix, half, atol=0)
     assert frame.leading_projector(2) is frame.leading_projector(2)
+    # the box tensors are built on the first Frobenius step, not with the frame
+    assert not any(key[0] == "half_box" for key in frame._cache)
+    tri.batch_triangular_decompose(alg.random_cone_points(a, 4, np.random.default_rng(2), 0.5, 2.0), frame)
+    for j in range(a.rank - 1):
+        basis, tensor = tri.half_box(frame, j)
+        assert tri.half_box(frame, j)[0] is basis and tri.half_box(frame, j)[1] is tensor
+        assert not basis.flags.writeable and not tensor.flags.writeable
 
 
 def _plus_identity(fn, eps):
@@ -301,6 +296,16 @@ def _plus_identity(fn, eps):
     return broken
 
 
+def _box_plus_identity(fn, eps):
+    """The half-space box tensor of fn with eps times the identity added to every block."""
+
+    def broken(frame, j):
+        basis, tensor = fn(frame, j)
+        return basis, tensor + eps * np.tile(np.eye(len(tensor)), len(basis))
+
+    return broken
+
+
 @pytest.mark.parametrize(
     "owner, name, breaker, failing",
     [
@@ -308,7 +313,7 @@ def _plus_identity(fn, eps):
         (tri.TriangularBatch, "apply", lambda f: lambda t, y: 1.001 * f(t, y), "roundtrip"),
         (tri.TriangularBatch, "apply", lambda f: lambda t, y: f(t, y) + 1e-3 * alg.identity(t.frame.algebra).coords, "power_cocycle"),
         (tri, "batch_frobenius", lambda f: _plus_identity(f, 1e-3), "frobenius_unit_power"),
-        (tri, "box_rows", lambda f: _plus_identity(f, 1e-3), "box_nilpotency"),
+        (tri, "half_box", lambda f: _box_plus_identity(f, 1e-3), "box_nilpotency"),
         (tri, "batch_norm", lambda f: lambda algebra, coords: np.full(len(coords), np.nan), "roundtrip"),
     ],
     ids=[
@@ -324,7 +329,8 @@ def test_suite_triangular_flags_a_broken_ingredient(monkeypatch, owner, name, br
     """The shared triangular residuals rise above the suite thresholds when an ingredient is wrong.
 
     The ingredients are the batched ones the residuals call: the group action
-    on rows, the Frobenius row map, the box-operator rows and the row norm.
+    on rows, the Frobenius row map, the cached half-space box tensor and the
+    row norm.
     """
     if breaker is not None:
         monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
