@@ -35,6 +35,10 @@ with the permutation count, and the add-one p-values are those of the direct
 computation.  The observed statistic goes through the same arithmetic as
 the permuted ones, so a permutation that leaves the statistic unchanged
 always counts as an exceedance.
+
+The distances come from scipy's ``cdist``, imported at first use inside the
+functions that call it, so importing this module (and conelab) loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from .errors import ValidationError
 
 
 def whiten(points: np.ndarray) -> np.ndarray:
@@ -63,6 +68,8 @@ def double_center(dist: np.ndarray) -> np.ndarray:
 
 
 def centered_distance_matrices(x: np.ndarray, y: np.ndarray):
+    from scipy.spatial.distance import cdist
+
     a = double_center(cdist(x, x))
     b = double_center(cdist(y, y))
     return a, b
@@ -94,12 +101,20 @@ _DCOR_PERM_BLOCK = 64
 
 
 def thread_cap():
-    """The ``CONELAB_THREADS`` cap (at least 1), or None when it is unset.
+    """The ``CONELAB_THREADS`` cap, or None when it is unset.
 
-    Raises ValueError when the variable is set to something other than an integer.
+    Raises ValidationError when the variable is set to anything but an integer >= 1.
     """
     value = os.environ.get("CONELAB_THREADS")
-    return max(1, int(value)) if value else None
+    if not value:
+        return None
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"CONELAB_THREADS must be an integer >= 1, got {value!r}")
+    return cap
 
 
 def _pool_workers() -> int:
@@ -211,6 +226,8 @@ def _energy_indicator_blocks(n: int, na: int, n_perm: int, rng: np.random.Genera
 
 def _distance_row_bands(pool: np.ndarray):
     """Yield (first row, rows of ``cdist(pool, pool)``), _ENERGY_ROW_BAND rows at a time."""
+    from scipy.spatial.distance import cdist
+
     for lo in range(0, len(pool), _ENERGY_ROW_BAND):
         yield lo, cdist(pool[lo : lo + _ENERGY_ROW_BAND], pool)
 
@@ -226,6 +243,8 @@ def energy_permutation_test(
 
     The p-value uses the add-one convention, as in `dcor_permutation_test`.
     """
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     keep_a = subsample_rows(len(a), max_points, rng)

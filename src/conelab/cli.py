@@ -9,10 +9,14 @@ Subcommands
 Exit codes: 0 all checks passed, 1 a suite or decomposition failed its
 thresholds, 2 unusable configuration.  Reports depend only on (config, seed):
 suites run sequentially and every random draw flows from the config seed, so
-identical configs produce byte-identical report files.  The environment
-variable CONELAB_THREADS caps the workers of the permutation pool always,
-and the BLAS thread pool through threadpoolctl; without threadpoolctl the
-BLAS cap is not applied and a warning says so.
+identical configs produce byte-identical report files.
+
+The environment variable CONELAB_THREADS, an integer >= 1, caps the workers
+of the permutation pool, and for the length of ``conelab run`` the BLAS
+thread pool: through threadpoolctl when it is installed, else through the
+thread-count calls of the OpenBLAS that numpy loaded, and the count before
+the run is restored after it.  When neither is found, the BLAS cap is not
+applied and a warning says so.  Any other value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -483,24 +486,49 @@ SUITES = {
 # ---------------------------------------------------------------------------
 
 
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None if unknown."""
+    import ctypes
+    import glob
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "libscipy_openblas*.so"))):
+        lib = ctypes.CDLL(path)  # the handle of the copy numpy already loaded
+        for suffix in ("64_", ""):  # the ILP64 and LP64 builds
+            get, set_ = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
 def _thread_limit():
-    """Apply CONELAB_THREADS to BLAS; the permutation pool reads it in ``_stats``."""
-    try:
-        limit = thread_cap()
-    except ValueError:
-        raise ConfigError(f"CONELAB_THREADS must be an integer, got {os.environ['CONELAB_THREADS']!r}")
+    """Cap BLAS at CONELAB_THREADS; returns the call that restores it, or None.
+
+    The permutation pool reads the variable itself, in ``_stats``.
+    """
+    limit = thread_cap()
     if limit is None:
         return None
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:  # threadpoolctl is optional; scipy does not require it
+        pass
+    else:
+        return threadpool_limits(limits=limit).unregister
+    calls = _openblas_thread_calls()
+    if calls is None:
         logger.warning(
             "CONELAB_THREADS=%d caps the permutation pool, but the BLAS cap was not applied: "
-            "threadpoolctl is not installed",
+            "threadpoolctl is not installed and numpy's OpenBLAS was not found",
             limit,
         )
         return None
-    return threadpool_limits(limits=limit)
+    get, set_ = calls
+    previous = get()
+    set_(limit)
+    return lambda: set_(previous)
 
 
 def cmd_run(cfg: dict, out_dir: Path) -> int:
@@ -529,7 +557,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         "suites": {},
     }
     all_passed = True
-    limiter = _thread_limit()
+    restore_threads = _thread_limit()
     try:
         for name in suites:
             rng = _sub_rng(seed, f"suite:{name}")
@@ -561,8 +589,8 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
                             f"{c['threshold']:.6e} violated"
                         )
     finally:
-        if limiter is not None:
-            limiter.unregister()
+        if restore_threads is not None:
+            restore_threads()
     summary["all_passed"] = all_passed
     write_report(out_dir / "summary.json", summary)
     return 0 if all_passed else 1

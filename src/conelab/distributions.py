@@ -12,6 +12,11 @@ frame: an (n, r) array of gamma-distributed diagonal entries, an
 the frame, the Frobenius chain on the whole batch, then the group element
 sending e to a^{-1} adjusts the scale.  Sample batches and the tabulated
 oracles of ``conelab decompose`` share one CSV writer and reader.
+
+scipy is imported at first use, by the functions that need it: the cone
+Gamma function (``gammaln``), and so every normalizer and density, and the
+quadrature check (``roots_genlaguerre``).  The samplers and the algebra
+need numpy alone, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
-from scipy.special import roots_genlaguerre
 
 from .algebra import (
     SYM_REAL,
@@ -61,13 +64,15 @@ def gamma_shapes(s, algebra: AlgebraDescriptor) -> np.ndarray:
 
 def log_gamma_cone(s, algebra: AlgebraDescriptor) -> float:
     """log of the cone Gamma function."""
+    from scipy.special import gammaln
+
     shapes = gamma_shapes(s, algebra)
     if np.any(shapes <= 0):
         raise DomainError(
             f"Gamma function needs s_j > (j-1)d/2; offending shapes {shapes}"
         )
     half_log_two_pi = 0.5 * (algebra.dim - algebra.rank) * np.log(2.0 * np.pi)
-    return float(half_log_two_pi + np.sum(special.gammaln(shapes)))
+    return float(half_log_two_pi + np.sum(gammaln(shapes)))
 
 
 def gamma_cone(s, algebra: AlgebraDescriptor) -> float:
@@ -335,6 +340,8 @@ def riesz_normalization_quadrature(
     between the closed-form integrand and exp(riesz_logpdf) on a subsample
     of nodes.
     """
+    from scipy.special import roots_genlaguerre
+
     algebra = params.algebra
     if algebra.kind != SYM_REAL or algebra.rank != 2:
         raise ValidationError("quadrature check supports sym_real rank 2 only")

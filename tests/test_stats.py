@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conelab import _stats
+from conelab.errors import ValidationError
 
 from conftest import ks_distance_to_uniform
 
@@ -335,9 +336,18 @@ def test_pool_workers_follow_the_cpu_count_and_the_thread_cap(monkeypatch):
     assert _stats._pool_workers() == 1
     monkeypatch.setenv("CONELAB_THREADS", str(cpus + 5))  # a cap above the CPU count
     assert _stats._pool_workers() == cpus
-    monkeypatch.setenv("CONELAB_THREADS", "many")
-    with pytest.raises(ValueError):
-        _stats._pool_workers()
+    for bad in ("many", "0", "-1"):
+        monkeypatch.setenv("CONELAB_THREADS", bad)
+        with pytest.raises(ValueError):
+            _stats._pool_workers()
+
+
+@pytest.mark.parametrize("value", ["many", "0", "-1"])
+def test_bad_thread_cap_raises_a_validation_error_naming_the_variable(monkeypatch, value):
+    monkeypatch.setenv("CONELAB_THREADS", value)
+    x = np.random.default_rng(2).standard_normal((20, 2))
+    with pytest.raises(ValidationError, match="CONELAB_THREADS"):
+        _stats.dcor_permutation_test(x, x, 9, np.random.default_rng(0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
