@@ -487,15 +487,24 @@ def batch_spectral_map(algebra: AlgebraDescriptor, coords: np.ndarray, fn) -> np
     return rebuild(fn(lam))
 
 
-def batch_powers(algebra: AlgebraDescriptor, coords: np.ndarray, *exponents: float) -> list:
-    """Rows of x^p for each exponent p, from one spectral decomposition of the cone points x.
+def batch_power_map(algebra: AlgebraDescriptor, coords: np.ndarray):
+    """The map p -> rows of x^p, from one spectral decomposition of the cone points x.
 
-    DomainError when a row has a nonpositive eigenvalue.
+    Each power is rebuilt from the eigenvalues on first request and kept,
+    read-only.  DomainError when a row has a nonpositive eigenvalue.
     """
     lam, rebuild = batch_spectrum(algebra, coords)
     if np.any(lam <= 0):
         raise DomainError("batch contains points outside the cone")
-    return [rebuild(lam**p) for p in exponents]
+    built = {}
+
+    def power(p: float) -> np.ndarray:
+        if p not in built:
+            built[p] = rows = rebuild(lam**p)
+            rows.flags.writeable = False
+        return built[p]
+
+    return power
 
 
 def eigenvalues(x: Element) -> np.ndarray:

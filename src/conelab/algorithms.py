@@ -5,13 +5,15 @@ w(x) e = x.  The two canonical constructions are the quadratic one
 (w1: x -> P(x^{1/2})) and the triangular one (w2: x -> t_x); ``interp``
 blends them and ``k_extended`` post-composes with a fixed rotation.
 
-An algorithm is defined only by its two row maps, which apply w(x) or
-g(x) = w(x)^{-1} to (n, dim) coordinate batches
-(:meth:`MultiplicationAlgorithm.apply_batch` and
-:meth:`MultiplicationAlgorithm.solve_batch`).  Everything else is derived
-from them: the matrices w(x_i) are the images of the coordinate basis
-(:meth:`MultiplicationAlgorithm.matrices`), and :func:`multiply` and
-:func:`divide` are one-row calls.
+An algorithm is defined by one map, ``prepare``: it takes (n, dim)
+coordinate rows x, does the work that depends on x alone once, and returns
+a batch whose ``apply(y)`` and ``solve(y)`` give the rows w(x_i) y_i and
+g(x_i) y_i with g(x) = w(x)^{-1}.  Everything else is derived from it:
+:meth:`MultiplicationAlgorithm.apply_batch` and
+:meth:`MultiplicationAlgorithm.solve_batch` are one prepared batch each,
+the matrices w(x_i) are the images of the coordinate basis under one
+prepared batch (:meth:`MultiplicationAlgorithm.matrices`), and
+:func:`multiply` and :func:`divide` are one-row calls.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .algebra import (
     JordanFrame,
     batch_eigenvalues,
     batch_norm,
-    batch_powers,
+    batch_power_map,
     batch_quad_rep,
     identity,
     norm,
@@ -40,23 +42,28 @@ from .algebra import (
 from .errors import ValidationError
 from .triangular import batch_triangular_decompose
 
-BatchMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+@dataclass(frozen=True)
+class RowMaps:
+    """A prepared batch given by its row maps: y -> rows w(x_i) y_i and y -> rows g(x_i) y_i."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class MultiplicationAlgorithm:
     """A map x -> w(x) in the automorphism group with w(x) e = x.
 
-    ``batch_apply`` and ``batch_solve`` map coordinate rows (x_i, y_i) to
-    w(x_i) y_i and g(x_i) y_i without forming w(x_i); a single x row is
-    broadcast over every y row.  Calling the algorithm on one point is the
-    one-row call of :meth:`matrices`.
+    ``prepare`` maps (n, dim) rows x to a batch whose ``apply(y)`` and
+    ``solve(y)`` give the rows w(x_i) y_i and g(x_i) y_i without forming
+    w(x_i); a batch of one x row is broadcast over every y row.  Calling the
+    algorithm on one point is the one-row call of :meth:`matrices`.
     """
 
     kind: str
     algebra: AlgebraDescriptor
-    batch_apply: BatchMap = field(repr=False)
-    batch_solve: BatchMap = field(repr=False)
+    prepare: Callable[[np.ndarray], object] = field(repr=False)
     homogeneous: bool = True
     frame: Optional[JordanFrame] = None
     alpha: Optional[float] = None
@@ -66,73 +73,69 @@ class MultiplicationAlgorithm:
         require_in_cone(x, "multiplication algorithm argument")
         return Endomorphism(self.algebra, self.matrices(x.coords[None, :])[0])
 
-    def matrices(self, x: np.ndarray) -> np.ndarray:
-        """The matrices w(x_i) of (n, dim) rows x, shape (n, dim, dim), from one apply_batch.
-
-        Column k of w(x_i) is w(x_i) b_k: each x row is repeated against the dim
-        rows of the coordinate basis, and a single x row is broadcast instead.
-        """
+    def at(self, x: np.ndarray):
+        """The prepared batch of (n, dim) rows x; DomainError when an x_i leaves the cone."""
+        x = np.asarray(x, dtype=float)
         dim = self.algebra.dim
-        rows = x if len(x) == 1 else np.repeat(x, dim, axis=0)
-        columns = self.apply_batch(rows, np.tile(np.eye(dim), (len(x), 1)))
-        return columns.reshape(len(x), dim, dim).transpose(0, 2, 1)
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValidationError(f"expected (n, {dim}) coordinate rows x, got {x.shape}")
+        return self.prepare(x)
+
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """The matrices w(x_i) of (n, dim) rows x, shape (n, dim, dim).
+
+        Column k of w(x_i) is w(x_i) b_k: one prepared batch applied to the
+        rows b_k, for each of the dim coordinate basis vectors.
+        """
+        batch = self.at(x)
+        n = len(x)
+        return np.stack([batch.apply(np.tile(b, (n, 1))) for b in np.eye(self.algebra.dim)], axis=2)
 
     def apply_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows w(x_i) y_i for (n, dim) y and x of n rows or of one row, broadcast;
         DomainError when an x_i leaves the cone."""
-        return self.batch_apply(*self._rows(x, y))
+        return self.at(x).apply(self._y_rows(len(x), y))
 
     def solve_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows g(x_i) y_i with g = w^{-1}; the batched form of :func:`divide`."""
-        return self.batch_solve(*self._rows(x, y))
+        return self.at(x).solve(self._y_rows(len(x), y))
 
-    def _rows(self, x, y) -> tuple:
-        x = np.asarray(x, dtype=float)
+    def _y_rows(self, n: int, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         dim = self.algebra.dim
-        shapes_ok = x.ndim == 2 and y.ndim == 2 and x.shape[1] == dim == y.shape[1]
-        if not shapes_ok or len(x) not in (1, len(y)):
+        if y.ndim != 2 or y.shape[1] != dim or n not in (1, len(y)):
             raise ValidationError(
-                f"expected (n, {dim}) coordinate arrays x and y, or x of one row, "
-                f"got {x.shape} and {y.shape}"
+                f"expected (m, {dim}) coordinate rows y, one per row of x unless x has one row; "
+                f"got {y.shape} for {n} rows of x"
             )
-        return x, y
+        return y
 
     def unit_image(self) -> Endomorphism:
         """w(e); the identity for w1/w2/interp, the fixed rotation for k_extended."""
         return self(identity(self.algebra))
 
 
-def _quad_power_rows(algebra: AlgebraDescriptor, p: float) -> BatchMap:
-    """Rows of P(x^p) y = 2 x^p (x^p y) - x^(2p) y."""
-
-    def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return batch_quad_rep(algebra, *batch_powers(algebra, x, p, 2.0 * p), y)
-
-    return rows
-
-
 def w1(algebra: AlgebraDescriptor) -> MultiplicationAlgorithm:
     """The quadratic algorithm x -> P(x^{1/2}); g(x) = P(x^{-1/2})."""
-    return MultiplicationAlgorithm(
-        kind="w1",
-        algebra=algebra,
-        batch_apply=_quad_power_rows(algebra, 0.5),
-        batch_solve=_quad_power_rows(algebra, -0.5),
-        homogeneous=True,
-        spec="w1",
-    )
+
+    def prepare(x: np.ndarray) -> RowMaps:
+        power = batch_power_map(algebra, x)  # P(x^p) is read from the rows of x^p and x^2p
+        return RowMaps(
+            lambda y: batch_quad_rep(algebra, power(0.5), power(1.0), y),
+            lambda y: batch_quad_rep(algebra, power(-0.5), power(-1.0), y),
+        )
+
+    return MultiplicationAlgorithm(kind="w1", algebra=algebra, prepare=prepare, homogeneous=True, spec="w1")
 
 
 def w2(frame) -> MultiplicationAlgorithm:
-    """The triangular algorithm x -> t_x for a fixed frame."""
+    """The triangular algorithm x -> t_x for a fixed frame; the batch is the t_x themselves."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     return MultiplicationAlgorithm(
         kind="w2",
         algebra=frame.algebra,
-        batch_apply=lambda x, y: batch_triangular_decompose(x, frame).apply(y),
-        batch_solve=lambda x, y: batch_triangular_decompose(x, frame).solve(y),
+        prepare=lambda x: batch_triangular_decompose(x, frame),
         homogeneous=True,
         frame=frame,
         spec="w2",
@@ -146,20 +149,19 @@ def interp(alpha: float, frame) -> MultiplicationAlgorithm:
     alpha = float(alpha)
     algebra = frame.algebra
 
-    def apply_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        head, head_sq, q = batch_powers(algebra, x, alpha, 2.0 * alpha, 1.0 - 2.0 * alpha)
-        return batch_quad_rep(algebra, head, head_sq, batch_triangular_decompose(q, frame).apply(y))
-
-    def solve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # g(x) = t_q^{-1} P(x^{-alpha}) with q = x^(1 - 2 alpha)
-        head, head_sq, q = batch_powers(algebra, x, -alpha, -2.0 * alpha, 1.0 - 2.0 * alpha)
-        return batch_triangular_decompose(q, frame).solve(batch_quad_rep(algebra, head, head_sq, y))
+    def prepare(x: np.ndarray) -> RowMaps:
+        power = batch_power_map(algebra, x)
+        tail = batch_triangular_decompose(power(1.0 - 2.0 * alpha), frame)
+        return RowMaps(
+            lambda y: batch_quad_rep(algebra, power(alpha), power(2.0 * alpha), tail.apply(y)),
+            # g(x) = t_q^{-1} P(x^{-alpha}) with q = x^(1 - 2 alpha)
+            lambda y: tail.solve(batch_quad_rep(algebra, power(-alpha), power(-2.0 * alpha), y)),
+        )
 
     return MultiplicationAlgorithm(
         kind="interp",
         algebra=algebra,
-        batch_apply=apply_rows,
-        batch_solve=solve_rows,
+        prepare=prepare,
         homogeneous=True,
         frame=frame,
         alpha=alpha,
@@ -176,11 +178,15 @@ def k_extended(base: MultiplicationAlgorithm, k: Endomorphism, spec: str = "") -
     # rows: w(x) y = base(x) (k y), g(x) y = k^{-1} g_base(x) y
     k_t = k.matrix.T
     k_inv_t = np.linalg.inv(k.matrix).T
+
+    def prepare(x: np.ndarray) -> RowMaps:
+        batch = base.prepare(x)
+        return RowMaps(lambda y: batch.apply(y @ k_t), lambda y: batch.solve(y) @ k_inv_t)
+
     return MultiplicationAlgorithm(
         kind="kext",
         algebra=base.algebra,
-        batch_apply=lambda x, y: base.batch_apply(x, y @ k_t),
-        batch_solve=lambda x, y: base.batch_solve(x, y) @ k_inv_t,
+        prepare=prepare,
         homogeneous=base.homogeneous,
         frame=base.frame,
         spec=spec or f"kext:{base.spec}",
@@ -194,24 +200,23 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
     quad = w1(frame.algebra)
     tri = w2(frame)
 
-    def split(quad_rows: BatchMap, tri_rows: BatchMap) -> BatchMap:
-        def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            upper = np.prod(batch_eigenvalues(frame.algebra, x), axis=1) > 1.0
-            if len(x) == 1:  # one w(x) for every y row: one branch takes them all
-                return (quad_rows if upper[0] else tri_rows)(x, y)
+    def prepare(x: np.ndarray) -> RowMaps:
+        upper = np.prod(batch_eigenvalues(frame.algebra, x), axis=1) > 1.0
+        branches = ((upper, quad.prepare(x[upper])), (~upper, tri.prepare(x[~upper])))
+
+        def split(method: str, y: np.ndarray) -> np.ndarray:
             out = np.empty_like(y)
-            for mask, branch_rows in ((upper, quad_rows), (~upper, tri_rows)):
-                if mask.any():
-                    out[mask] = branch_rows(x[mask], y[mask])
+            for mask, batch in branches:
+                mask = np.broadcast_to(mask, len(y))  # one x row: its branch takes every y row
+                out[mask] = getattr(batch, method)(y[mask])
             return out
 
-        return rows
+        return RowMaps(lambda y: split("apply", y), lambda y: split("solve", y))
 
     return MultiplicationAlgorithm(
         kind="piecewise",
         algebra=frame.algebra,
-        batch_apply=split(quad.batch_apply, tri.batch_apply),
-        batch_solve=split(quad.batch_solve, tri.batch_solve),
+        prepare=prepare,
         homogeneous=False,
         frame=frame,
         spec="piecewise",

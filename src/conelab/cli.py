@@ -504,7 +504,7 @@ def _openblas_thread_calls():
 
 
 def _thread_limit():
-    """Cap BLAS at CONELAB_THREADS; returns the call that restores it, or None.
+    """Cap BLAS at CONELAB_THREADS for one command; returns the call that restores it, or None.
 
     The permutation pool reads the variable itself, in ``_stats``.
     """
@@ -557,40 +557,35 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         "suites": {},
     }
     all_passed = True
-    restore_threads = _thread_limit()
-    try:
-        for name in suites:
-            rng = _sub_rng(seed, f"suite:{name}")
-            result = SUITES[name](algebra, algorithm, rng, samples_cfg[name], tol)
-            checks, details = result if isinstance(result, tuple) else (result, None)
-            passed = all(c["passed"] for c in checks.values())
-            all_passed &= passed
-            report = {
-                "suite": name,
-                "algebra": algebra.name,
-                "algorithm": algorithm.spec,
-                "seed": seed,
-                "samples": samples_cfg[name],
-                "passed": passed,
-                "checks": checks,
-            }
-            if details is not None:
-                report["details"] = details
-            write_report(out_dir / f"{name}.json", report)
-            summary["suites"][name] = passed
-            status = "pass" if passed else "FAIL"
-            print(f"[{status}] {name}")
-            if not passed:
-                for cname, c in checks.items():
-                    if not c["passed"]:
-                        print(
-                            f"    {cname}: value {c['value']:.6e} "
-                            f"{'<=' if c['comparison'] == 'le' else '>='} "
-                            f"{c['threshold']:.6e} violated"
-                        )
-    finally:
-        if restore_threads is not None:
-            restore_threads()
+    for name in suites:
+        rng = _sub_rng(seed, f"suite:{name}")
+        result = SUITES[name](algebra, algorithm, rng, samples_cfg[name], tol)
+        checks, details = result if isinstance(result, tuple) else (result, None)
+        passed = all(c["passed"] for c in checks.values())
+        all_passed &= passed
+        report = {
+            "suite": name,
+            "algebra": algebra.name,
+            "algorithm": algorithm.spec,
+            "seed": seed,
+            "samples": samples_cfg[name],
+            "passed": passed,
+            "checks": checks,
+        }
+        if details is not None:
+            report["details"] = details
+        write_report(out_dir / f"{name}.json", report)
+        summary["suites"][name] = passed
+        status = "pass" if passed else "FAIL"
+        print(f"[{status}] {name}")
+        if not passed:
+            for cname, c in checks.items():
+                if not c["passed"]:
+                    print(
+                        f"    {cname}: value {c['value']:.6e} "
+                        f"{'<=' if c['comparison'] == 'le' else '>='} "
+                        f"{c['threshold']:.6e} violated"
+                    )
     summary["all_passed"] = all_passed
     write_report(out_dir / "summary.json", summary)
     return 0 if all_passed else 1
@@ -761,11 +756,16 @@ def main(argv=None) -> int:
         if getattr(args, "suite", None):
             cfg["suites"] = args.suite
         out_dir = Path(args.out or cfg.get("out_dir", "reports"))
-        if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        if args.command == "decompose":
-            return cmd_decompose(cfg, out_dir)
-        return cmd_sample(cfg, out_dir)
+        restore_threads = _thread_limit()
+        try:
+            if args.command == "run":
+                return cmd_run(cfg, out_dir)
+            if args.command == "decompose":
+                return cmd_decompose(cfg, out_dir)
+            return cmd_sample(cfg, out_dir)
+        finally:
+            if restore_threads is not None:
+                restore_threads()
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

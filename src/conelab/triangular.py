@@ -6,11 +6,12 @@ a unique t_x = tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c
 The ``batch_*`` functions are the implementation: they work on (n, dim)
 coordinate arrays and the frame's cached arrays; a Frobenius step is one
 contraction with the half-space box tensor of :func:`half_box`, with no
-Jordan product.  The scalar :func:`triangular_decompose` is a one-row call of
-:func:`batch_triangular_decompose`; only :func:`box_operator`,
-:func:`frobenius_transform` and :func:`as_endomorphism`, which build their
-maps as matrices, work on one :class:`~conelab.algebra.Element` directly;
-they are the tests' references.
+Jordan product.  A :class:`TriangularBatch` holds one group element per
+row; :func:`triangular_decompose` of one :class:`~conelab.algebra.Element`
+is the one-row batch.  Only :func:`box_operator`,
+:func:`frobenius_transform` and :func:`as_endomorphism` build their maps as
+dim x dim matrices, from one element or from row 0 of a batch; they are the
+tests' references.
 """
 
 from __future__ import annotations
@@ -61,37 +62,6 @@ def frobenius_transform(c: Element, z: Element, half: Endomorphism | None = None
     return Endomorphism(c.algebra, eye + n + 0.5 * (n @ n))
 
 
-@dataclass(frozen=True, eq=False)
-class TriangularElement:
-    """A member of the triangular group: Frobenius parameters plus a positive diagonal.
-
-    Represents tau_{c_1}(z^(1)) ... tau_{c_{r-1}}(z^(r-1)) P(sum_k sqrt(alpha_k) c_k)
-    with z^(j) in the span of the subspaces E_jk, k > j.
-    """
-
-    frame: JordanFrame
-    frobenius_params: tuple
-    diagonal: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = len(self.frame)
-        diag = np.array(self.diagonal, dtype=float)
-        if diag.shape != (r,):
-            raise ValidationError(f"diagonal must have {r} entries")
-        if np.any(diag <= 0):
-            raise DomainError("triangular diagonal entries must be positive")
-        diag.flags.writeable = False
-        object.__setattr__(self, "diagonal", diag)
-        params = tuple(self.frobenius_params)
-        if len(params) != max(r - 1, 0):
-            raise ValidationError(f"expected {r - 1} Frobenius parameters")
-        object.__setattr__(self, "frobenius_params", params)
-
-    @property
-    def algebra(self):
-        return self.frame.algebra
-
-
 def strict_upper_projector(frame: JordanFrame, j: int) -> Endomorphism:
     """Projection onto the span of E_jk for k > j, within the trailing subalgebra.
 
@@ -107,34 +77,28 @@ def strict_upper_projector(frame: JordanFrame, j: int) -> Endomorphism:
     return frame.cached(("strict_upper", j), build)
 
 
-def triangular_decompose(x: Element, frame) -> TriangularElement:
-    """Unique t in the triangular group of the frame with t e = x; one row of
+def triangular_decompose(x: Element, frame) -> TriangularBatch:
+    """Unique t in the triangular group of the frame with t e = x, as the one-row
     :func:`batch_triangular_decompose`.  DomainError when x is outside the cone."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     if x.algebra != frame.algebra:
         raise ValidationError("element and frame from different algebras")
-    batch = batch_triangular_decompose(x.coords[None, :], frame)
-    zs = tuple(Element(frame.algebra, z[0]) for z in batch.frobenius_params)
-    return TriangularElement(frame, zs, batch.diagonal[0])
+    return batch_triangular_decompose(x.coords[None, :], frame)
 
 
-def as_endomorphism(t: TriangularElement) -> Endomorphism:
-    """The group element: composed Frobenius maps times P(sum sqrt(alpha_k) c_k)."""
-    algebra = t.algebra
+def as_endomorphism(t: TriangularBatch) -> Endomorphism:
+    """The group element of row 0 of t: composed Frobenius maps times P(sum sqrt(alpha_k) c_k)."""
+    frame = t.frame
+    algebra = frame.algebra
     diag = zero(algebra)
-    for a, c in zip(t.diagonal, t.frame):
+    for a, c in zip(t.diagonal[0], frame):
         diag = diag + float(np.sqrt(a)) * c
     out = quad_rep(diag).matrix
-    for j in range(len(t.frame) - 2, -1, -1):
-        tau = frobenius_transform(t.frame[j], t.frobenius_params[j], half_projector(t.frame, j))
-        out = tau.matrix @ out
+    for j in range(len(frame) - 2, -1, -1):
+        z = Element(algebra, t.frobenius_params[j][0])
+        out = frobenius_transform(frame[j], z, half_projector(frame, j)).matrix @ out
     return Endomorphism(algebra, out)
-
-
-def adjoint(t: TriangularElement) -> Endomorphism:
-    """Adjoint of the group element in the trace form."""
-    return as_endomorphism(t).adjoint()
 
 
 def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
@@ -247,8 +211,10 @@ def batch_frobenius(frame: JordanFrame, j: int, z: np.ndarray, y: np.ndarray) ->
 class TriangularBatch:
     """The triangular elements t_x of a batch of cone points, one per row.
 
-    ``diagonal`` is (n, r); ``frobenius_params`` holds r - 1 arrays of shape
-    (n, dim), the parameters z_j of :class:`TriangularElement` row by row.
+    Row i stands for tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k)
+    with z_j in the span of the subspaces E_jk, k > j.  ``diagonal`` is (n, r),
+    the alpha_k row by row; ``frobenius_params`` holds r - 1 arrays of shape
+    (n, dim), the z_j row by row.  A one-row batch acts on any number of rows.
     """
 
     frame: JordanFrame

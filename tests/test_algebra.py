@@ -266,12 +266,13 @@ def test_batch_spectral_map_matches_scalar_path(a, rng):
     rows = [alg.random_cone_element(a, rng, 0.1, 10.0) for _ in range(8)]
     coords = np.array([x.coords for x in rows])
     assert_allclose(alg.batch_eigenvalues(a, coords), [alg.eigenvalues(x) for x in rows], rtol=1e-12)
-    power, inverse = alg.batch_powers(a, coords, 0.37, -1.0)
-    assert_allclose(power, [alg.element_power(x, 0.37).coords for x in rows], atol=1e-12)
-    assert_allclose(inverse, [alg.inverse(x).coords for x in rows], atol=1e-12)
+    power = alg.batch_power_map(a, coords)
+    assert_allclose(power(0.37), [alg.element_power(x, 0.37).coords for x in rows], atol=1e-12)
+    assert_allclose(power(-1.0), [alg.inverse(x).coords for x in rows], atol=1e-12)
+    assert power(0.37) is power(0.37) and not power(0.37).flags.writeable  # built once, kept
     assert_allclose(alg.batch_spectral_map(a, coords, lambda t: t), coords, atol=1e-12)
     with pytest.raises(DomainError):
-        alg.batch_powers(a, -coords, 0.5)
+        alg.batch_power_map(a, -coords)
 
 
 def test_batch_spectral_map_lorentz_axis_point():

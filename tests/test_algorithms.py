@@ -118,22 +118,28 @@ def test_check_algorithm_homogeneous_cases(a):
 
 
 def test_a_nan_evaluation_fails_check_algorithm_and_the_mult_alg_suite():
-    # the first batch_apply call builds the stacked matrices w(x_i), dim rows per
-    # sample; it returns NaN in the second sample's dim rows, so that w(x) is all NaN
+    # the first prepared batch builds the stacked matrices w(x_i), one basis
+    # vector per apply call; it returns NaN in the second sample's row, so that w(x) is all NaN
     a = alg.sym_real(2)
     base = ma.w1(a)
 
     def nan_in_second_sample():
         calls = [0]
 
-        def apply_rows(x, y):
+        def prepare(x):
             calls[0] += 1
-            rows = base.batch_apply(x, y)
-            if calls[0] == 1:
-                rows[a.dim : 2 * a.dim] = np.nan
-            return rows
+            batch = base.prepare(x)
+            if calls[0] > 1:
+                return batch
 
-        return dataclasses.replace(base, batch_apply=apply_rows)
+            def apply(y):
+                rows = batch.apply(y)
+                rows[1] = np.nan
+                return rows
+
+            return ma.RowMaps(apply, batch.solve)
+
+        return dataclasses.replace(base, prepare=prepare)
 
     with np.errstate(invalid="ignore"):
         report = ma.check_algorithm(nan_in_second_sample(), 10, np.random.default_rng(0))
@@ -144,10 +150,15 @@ def test_a_nan_evaluation_fails_check_algorithm_and_the_mult_alg_suite():
 
 
 def test_a_wrong_division_map_fails_the_mult_alg_suite():
-    """A w2 whose batch_solve returns twice the true rows passes every other check."""
+    """A w2 whose solve returns twice the true rows passes every other check."""
     a = alg.sym_real(3)
     base = ma.w2(alg.standard_frame(a))
-    doubled = dataclasses.replace(base, batch_solve=lambda x, y: 2.0 * base.batch_solve(x, y))
+
+    def doubled_solve(x):
+        batch = base.prepare(x)
+        return ma.RowMaps(batch.apply, lambda y: 2.0 * batch.solve(y))
+
+    doubled = dataclasses.replace(base, prepare=doubled_solve)
     good, bad = (
         cli.suite_mult_alg(a, w, np.random.default_rng(5), 30, cli.DEFAULT_TOLERANCES) for w in (base, doubled)
     )
@@ -155,6 +166,28 @@ def test_a_wrong_division_map_fails_the_mult_alg_suite():
     assert not all(c["passed"] for c in bad.values())
     assert [name for name, c in bad.items() if not c["passed"]] == ["divide_roundtrip"]
     assert bad["divide_roundtrip"]["value"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
+def test_x_rows_are_prepared_once(a, rng):
+    """matrices(x) prepares its n rows once, and w(x) prepares one row."""
+    frame = alg.standard_frame(a)
+    specs = ("w1", "w2", "interp:0.25", "kext:w2:3")
+    x = alg.random_cone_points(a, 6, rng, 0.2, 5.0)  # det x on both sides of 1 for piecewise
+    for base in [ma.parse_algorithm(spec, a, frame) for spec in specs] + [ma.piecewise_det(frame)]:
+        rows_seen = []
+
+        def counting(x, prepare=base.prepare):
+            rows_seen.append(len(x))
+            return prepare(x)
+
+        w = dataclasses.replace(base, prepare=counting)
+        stacked = w.matrices(x)
+        assert rows_seen == [len(x)], base.spec
+        assert_allclose(stacked, base.matrices(x), rtol=0, atol=0, err_msg=base.spec)
+        rows_seen.clear()
+        w(alg.Element(a, x[0]))
+        assert rows_seen == [1], base.spec
 
 
 @pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1)], ids=lambda a: a.name)
@@ -273,6 +306,13 @@ def test_batch_maps_reject_points_outside_the_cone_and_bad_shapes(rng):
                     method(good[:2], good[:3])  # x must have one row or one per y row
                 with pytest.raises(ValidationError):
                     method(good[0], good[0])
+            for method in (w.at, w.matrices):
+                with pytest.raises(DomainError):
+                    method(bad)
+                with pytest.raises(ValidationError):
+                    method(good[0])
+                with pytest.raises(ValidationError):
+                    method(good[:, :-1])
 
 
 def test_piecewise_batch_with_one_branch_empty(rng):

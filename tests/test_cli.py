@@ -65,78 +65,100 @@ def test_run_reports_are_byte_identical(tmp_path):
         assert b1 == b2
 
 
-def thread_cap_configs(tmp_path):
-    suites = ["algebra-axioms", "lukacs"]
-    samples = {"algebra-axioms": 200, "lukacs": 400}
-    return suites, [
-        write_config(tmp_path, name=f"{d}.json", out_dir=str(tmp_path / d), suites=suites, samples=samples)
-        for d in ("r1", "r2")
+# per command: config overrides, and the files it writes
+THREAD_CAP_COMMANDS = {
+    "run": (
+        {"suites": ["algebra-axioms", "lukacs"], "samples": {"algebra-axioms": 200, "lukacs": 400}},
+        ["algebra-axioms.json", "lukacs.json", "summary.json"],
+    ),
+    "sample": ({"n": 200, "distribution": {"type": "riesz", "s": [2.0, 1.5], "a": "e"}}, ["draws.csv"]),
+    "decompose": ({"oracle": {"family": "zero", "grid": {"n_points": 200, "seed": 3}}}, ["decomposition.json"]),
+}
+
+
+def thread_cap_configs(tmp_path, command):
+    overrides, outputs = THREAD_CAP_COMMANDS[command]
+    return outputs, [
+        write_config(tmp_path, name=f"{d}.json", out_dir=str(tmp_path / d), **overrides) for d in ("r1", "r2")
     ]
+
+
+def call_before_the_work(monkeypatch, command, hook):
+    """Make the command call hook() as its main computation starts."""
+
+    def wrap(fn):
+        def wrapped(*args, **kwargs):
+            hook()
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    if command == "run":
+        monkeypatch.setitem(cli.SUITES, "algebra-axioms", wrap(cli.SUITES["algebra-axioms"]))
+    else:
+        name = {"sample": "sample_riesz", "decompose": "olkin_baker_decompose"}[command]
+        monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
 
 
 def thread_cap_warnings(caplog):
     return [r for r in caplog.records if "CONELAB_THREADS" in r.getMessage()]
 
 
-def assert_same_reports(tmp_path, suites):
-    for name in suites + ["summary"]:
-        report = f"{name}.json"
-        assert (tmp_path / "r1" / report).read_bytes() == (tmp_path / "r2" / report).read_bytes()
+def assert_same_outputs(tmp_path, outputs):
+    for name in outputs:
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
-def test_thread_cap_without_threadpoolctl_caps_openblas(tmp_path, monkeypatch, caplog):
-    """CONELAB_THREADS caps numpy's OpenBLAS for the run only, and reports keep their bytes."""
+@pytest.mark.parametrize("command", list(THREAD_CAP_COMMANDS))
+def test_thread_cap_without_threadpoolctl_caps_openblas(tmp_path, monkeypatch, caplog, command):
+    """CONELAB_THREADS caps numpy's OpenBLAS for the command only, and outputs keep their bytes."""
     calls = cli._openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy was not built against a bundled OpenBLAS")
     get, _ = calls
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # the import now fails
-    suites, (plain, capped) = thread_cap_configs(tmp_path)
+    outputs, (plain, capped) = thread_cap_configs(tmp_path, command)
     before = get()
     cap = 1 if before > 1 else 2
     during = []
-    suite = cli.SUITES["algebra-axioms"]
-
-    def reading_the_count(*args):
-        during.append(get())
-        return suite(*args)
-
-    monkeypatch.setitem(cli.SUITES, "algebra-axioms", reading_the_count)
+    call_before_the_work(monkeypatch, command, lambda: during.append(get()))
     monkeypatch.delenv("CONELAB_THREADS", raising=False)
     with caplog.at_level(logging.WARNING, logger="conelab"):
-        assert cli.main(["run", str(plain)]) == 0
+        assert cli.main([command, str(plain)]) == 0
     monkeypatch.setenv("CONELAB_THREADS", str(cap))
     with caplog.at_level(logging.WARNING, logger="conelab"):
-        assert cli.main(["run", str(capped)]) == 0
+        assert cli.main([command, str(capped)]) == 0
     assert during == [before, cap]
     assert get() == before
     assert not thread_cap_warnings(caplog)
-    assert_same_reports(tmp_path, suites)
+    assert_same_outputs(tmp_path, outputs)
 
 
-def test_thread_cap_without_any_blas_entry_point_warns(tmp_path, monkeypatch, caplog):
+@pytest.mark.parametrize("command", list(THREAD_CAP_COMMANDS))
+def test_thread_cap_without_any_blas_entry_point_warns(tmp_path, monkeypatch, caplog, command):
     """With no way to reach BLAS, CONELAB_THREADS is reported as not applied."""
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: None)
-    suites, (plain, capped) = thread_cap_configs(tmp_path)
+    outputs, (plain, capped) = thread_cap_configs(tmp_path, command)
     monkeypatch.delenv("CONELAB_THREADS", raising=False)
     with caplog.at_level(logging.WARNING, logger="conelab"):
-        assert cli.main(["run", str(plain)]) == 0
+        assert cli.main([command, str(plain)]) == 0
     assert not thread_cap_warnings(caplog)
     monkeypatch.setenv("CONELAB_THREADS", "1")
     with caplog.at_level(logging.WARNING, logger="conelab"):
-        assert cli.main(["run", str(capped)]) == 0
+        assert cli.main([command, str(capped)]) == 0
     warnings = thread_cap_warnings(caplog)
     assert len(warnings) == 1
     assert warnings[0].name == "conelab" and warnings[0].levelno == logging.WARNING
     assert "not applied" in warnings[0].getMessage()
-    assert_same_reports(tmp_path, suites)
+    assert_same_outputs(tmp_path, outputs)
 
 
+@pytest.mark.parametrize("command", list(THREAD_CAP_COMMANDS))
 @pytest.mark.parametrize("value", ["many", "0", "-2", "1.5"])
-def test_bad_thread_cap_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
+def test_bad_thread_cap_is_a_usage_error(tmp_path, monkeypatch, capsys, value, command):
     monkeypatch.setenv("CONELAB_THREADS", value)
-    assert cli.main(["run", str(write_config(tmp_path))]) == 2
+    assert cli.main([command, str(write_config(tmp_path, **THREAD_CAP_COMMANDS[command][0]))]) == 2
     err = capsys.readouterr().err
     assert "CONELAB_THREADS" in err and repr(value) in err
     assert not (tmp_path / "reports").exists()
