@@ -280,11 +280,11 @@ def _basis_matrix(algebra: AlgebraDescriptor) -> np.ndarray:
 
 
 def coords_to_mats(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
-    """Batch map (n, dim) coordinate rows to (n, r, r) matrices, one real matrix product."""
-    flat = coords @ _basis_matrix(algebra)
+    """Batch map (..., dim) coordinate rows to (..., r, r) matrices, one real matrix product."""
+    flat = coords.reshape(-1, algebra.dim) @ _basis_matrix(algebra)  # one 2-D product for any stack
     if algebra.kind == HERM_COMPLEX:
         flat = flat.view(complex)
-    return flat.reshape(len(coords), algebra.rank, algebra.rank)
+    return flat.reshape(coords.shape[:-1] + (algebra.rank, algebra.rank))
 
 
 def mats_to_coords(algebra: AlgebraDescriptor, mats: np.ndarray) -> np.ndarray:
@@ -293,7 +293,7 @@ def mats_to_coords(algebra: AlgebraDescriptor, mats: np.ndarray) -> np.ndarray:
     basis = _basis_matrix(algebra)
     if algebra.kind == HERM_COMPLEX:
         mats = np.ascontiguousarray(mats, dtype=complex).view(float)
-    return mats.reshape(len(mats), basis.shape[1]) @ basis.T
+    return (mats.reshape(-1, basis.shape[1]) @ basis.T).reshape(mats.shape[:-2] + (algebra.dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +302,15 @@ def mats_to_coords(algebra: AlgebraDescriptor, mats: np.ndarray) -> np.ndarray:
 
 
 def batch_jordan_product(algebra: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jordan product on (n, dim) coordinate batches; a batch of one row is broadcast."""
+    """Jordan product on (..., n, dim) coordinate batches, broadcast like numpy arrays
+    (a batch of one row acts on every row)."""
     if algebra.is_matrix_kind:
         ma = coords_to_mats(algebra, a)
         mb = coords_to_mats(algebra, b)
         return mats_to_coords(algebra, 0.5 * (ma @ mb + mb @ ma))
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[:, 0] = np.sum(a * b, axis=1)
-    out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    out[..., 0] = np.sum(a * b, axis=-1)
+    out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
     return out
 
 

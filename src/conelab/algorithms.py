@@ -57,8 +57,10 @@ class MultiplicationAlgorithm:
 
     ``prepare`` maps (n, dim) rows x to a batch whose ``apply(y)`` and
     ``solve(y)`` give the rows w(x_i) y_i and g(x_i) y_i without forming
-    w(x_i); a batch of one x row is broadcast over every y row.  Calling the
-    algorithm on one point is the one-row call of :meth:`matrices`.
+    w(x_i).  y is (n, dim) or a (..., n, dim) stack of such rows; a batch of
+    one x row is broadcast over every y row.  A batch does not check y: the
+    checked calls are :meth:`apply_batch` and :meth:`solve_batch`.  Calling
+    the algorithm on one point is the one-row call of :meth:`matrices`.
     """
 
     kind: str
@@ -74,7 +76,8 @@ class MultiplicationAlgorithm:
         return Endomorphism(self.algebra, self.matrices(x.coords[None, :])[0])
 
     def at(self, x: np.ndarray):
-        """The prepared batch of (n, dim) rows x; DomainError when an x_i leaves the cone."""
+        """The prepared batch of (n, dim) rows x, for many y against the same x;
+        DomainError when an x_i leaves the cone.  Its ``apply``/``solve`` do not check y."""
         x = np.asarray(x, dtype=float)
         dim = self.algebra.dim
         if x.ndim != 2 or x.shape[1] != dim:
@@ -85,11 +88,12 @@ class MultiplicationAlgorithm:
         """The matrices w(x_i) of (n, dim) rows x, shape (n, dim, dim).
 
         Column k of w(x_i) is w(x_i) b_k: one prepared batch applied to the
-        rows b_k, for each of the dim coordinate basis vectors.
+        (dim, n, dim) stack whose slice k repeats the basis vector b_k.
         """
         batch = self.at(x)
-        n = len(x)
-        return np.stack([batch.apply(np.tile(b, (n, 1))) for b in np.eye(self.algebra.dim)], axis=2)
+        dim = self.algebra.dim
+        basis = np.broadcast_to(np.eye(dim)[:, None, :], (dim, len(x), dim))
+        return np.ascontiguousarray(batch.apply(basis).transpose(1, 2, 0))
 
     def apply_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows w(x_i) y_i for (n, dim) y and x of n rows or of one row, broadcast;
@@ -205,10 +209,10 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
         branches = ((upper, quad.prepare(x[upper])), (~upper, tri.prepare(x[~upper])))
 
         def split(method: str, y: np.ndarray) -> np.ndarray:
-            out = np.empty_like(y)
+            out = np.empty(y.shape)
             for mask, batch in branches:
-                mask = np.broadcast_to(mask, len(y))  # one x row: its branch takes every y row
-                out[mask] = getattr(batch, method)(y[mask])
+                mask = np.broadcast_to(mask, y.shape[-2])  # one x row: its branch takes every y row
+                out[..., mask, :] = getattr(batch, method)(y[..., mask, :])
             return out
 
         return RowMaps(lambda y: split("apply", y), lambda y: split("solve", y))

@@ -315,7 +315,7 @@ def suite_mult_alg(algebra, algorithm, rng, n, tol):
     )
     det_resid = np.max(np.abs(lhs - det_y * det_x) / np.abs(det_y * det_x))
     checks["det_multiplicativity"] = _check(det_resid, tol["ddet"])
-    # division undoes multiplication: g(x) (w(x) y) = y, through the batch_solve map
+    # division undoes multiplication: g(x) (w(x) y) = y, through solve_batch
     back = algorithm.solve_batch(x, algorithm.apply_batch(x, y))
     roundtrip = np.linalg.norm(back - y, axis=1) / np.linalg.norm(y, axis=1)
     checks["divide_roundtrip"] = _check(np.max(roundtrip), tol["bijection"])

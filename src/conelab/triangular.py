@@ -196,15 +196,22 @@ def batch_frobenius(frame: JordanFrame, j: int, z: np.ndarray, y: np.ndarray) ->
     ``z`` holds (n, dim) rows in the half space V_{1/2}(c_j), read through
     their coordinates in the :func:`half_box` basis: a component outside that
     space is dropped.  N v contracts those coordinates with v @ tensor.
+    ``y`` is (n, dim), or (..., n, dim) for stacks of n rows; a stack is
+    contracted as one batch of rows, with the coordinates repeated per slice.
     """
     basis, tensor = half_box(frame, j)
+    k, dim = basis.shape
     coef = z @ basis.T
+    shape = y.shape
+    if len(shape) > 2:
+        coef = np.broadcast_to(coef, shape[:-1] + (k,)).reshape(-1, k)
+        y = y.reshape(-1, dim)
 
     def n_apply(v: np.ndarray) -> np.ndarray:
-        return np.einsum("nc,nck->nk", coef, (v @ tensor).reshape(len(v), len(basis), len(tensor)))
+        return np.einsum("nc,nck->nk", coef, (v @ tensor).reshape(len(v), k, dim))
 
     ny = n_apply(y)
-    return y + ny + 0.5 * n_apply(ny)
+    return (y + ny + 0.5 * n_apply(ny)).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +221,8 @@ class TriangularBatch:
     Row i stands for tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k)
     with z_j in the span of the subspaces E_jk, k > j.  ``diagonal`` is (n, r),
     the alpha_k row by row; ``frobenius_params`` holds r - 1 arrays of shape
-    (n, dim), the z_j row by row.  A one-row batch acts on any number of rows.
+    (n, dim), the z_j row by row.  ``apply`` and ``solve`` take (n, dim) rows
+    y, or (..., n, dim) stacks of them; a one-row batch acts on any number of rows.
     """
 
     frame: JordanFrame

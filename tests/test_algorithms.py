@@ -202,6 +202,23 @@ def test_stacked_matrices_are_the_one_point_matrices(a, rng):
             assert_allclose(m, w(alg.Element(a, xi)).matrix, rtol=0, atol=1e-13, err_msg=w.spec)
 
 
+@pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
+def test_prepared_batches_act_on_stacks_of_y_rows(a, rng):
+    """apply and solve on a (k, n, dim) stack give, slice by slice, their (n, dim) calls."""
+    frame = alg.standard_frame(a)
+    specs = ("w1", "w2", "interp:0.25", "kext:w2:3")
+    x = alg.random_cone_points(a, 6, rng, 0.2, 5.0)
+    y = rng.standard_normal((3, len(x), a.dim))
+    for w in [ma.parse_algorithm(spec, a, frame) for spec in specs] + [ma.piecewise_det(frame)]:
+        for rows in (x, x[:1]):
+            batch = w.at(rows)
+            for method in (batch.apply, batch.solve):
+                stacked = method(y)
+                assert stacked.shape == y.shape
+                for k in range(len(y)):
+                    assert_allclose(stacked[k], method(y[k]), rtol=1e-12, atol=1e-12, err_msg=w.spec)
+
+
 @pytest.mark.parametrize("a", [alg.sym_real(1), alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
 def test_check_algorithm_on_no_samples_and_on_rank_one(a):
     for w in all_algorithms(a):
