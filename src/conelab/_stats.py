@@ -13,7 +13,13 @@ Two kernels keep that traffic small:
   statistic exceeds the observed one exactly when its distance covariance
   ``sum(a * b[p][:, p])`` does.  The permuted matrix is gathered a band of
   rows at a time and each band is reduced with ``einsum``, so no ``m x m``
-  temporary is built per permutation.  The permutations are scored on a
+  temporary is built per permutation.  Both matrices are symmetric (up to
+  the rounding of the centring), so once the observed statistic is computed
+  the blocks of ``a`` right of its diagonal band are doubled (exact in
+  floating point) and band ``lo`` gathers only the columns ``p[lo:]``: half
+  the gather and half the reduction of the full sum.  The identity
+  permutation goes through the same folded sum, so the ranking stays exact.
+  The permutations are scored on a
   thread pool that lives for one call, with one worker per usable CPU
   (capped by ``CONELAB_THREADS`` when it is set; one worker runs inline).
   Gathers and reductions release the GIL.  ``einsum`` never calls BLAS,
@@ -27,6 +33,9 @@ Two kernels keep that traffic small:
   through matrix products.  The pooled distance matrix ``D`` is computed a
   band of rows at a time and never held whole, and blocks have a fixed
   width, so memory does not grow with the sample or the permutation count.
+  The first block is drawn before the bands are computed, so one pass over
+  ``D`` gives the row sums, the within-A block of the observed labelling
+  and ``D @ Z``; only blocks after the first recompute the bands.
 
 Both tests draw their permutations one at a time with
 ``rng.permutation``, in the same order as a plain loop and in blocks of a
@@ -36,9 +45,10 @@ computation.  The observed statistic goes through the same arithmetic as
 the permuted ones, so a permutation that leaves the statistic unchanged
 always counts as an exceedance.
 
-The distances come from scipy's ``cdist``, imported at first use inside the
-functions that call it, so importing this module (and conelab) loads numpy
-alone.
+Distances come from :func:`distance_matrix`, which adds the squared
+coordinate differences in coordinate order, as ``scipy.spatial.distance.cdist``
+does, so its matrices are bit-identical to ``cdist``'s; this module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -61,6 +71,49 @@ def whiten(points: np.ndarray) -> np.ndarray:
     return centered @ (vecs * inv_sqrt) @ vecs.T
 
 
+# Elements of a distance-matrix block computed at a time: the block and its
+# difference buffer (32768 doubles, 256 kB each) stay in cache.
+_DISTANCE_BLOCK = 1 << 15
+
+
+def _distance_block(x: np.ndarray, y_cols: np.ndarray, out: np.ndarray, diff: np.ndarray) -> None:
+    """Write into ``out`` the distances between the rows of x and the columns of
+    ``y_cols`` (one row per coordinate), the squared differences added in coordinate order."""
+    np.subtract.outer(x[:, 0], y_cols[0], out=out)
+    out *= out
+    for k in range(1, x.shape[1]):
+        np.subtract.outer(x[:, k], y_cols[k], out=diff)
+        diff *= diff
+        out += diff
+    np.sqrt(out, out=out)
+
+
+def distance_matrix(x: np.ndarray, y=None, out=None) -> np.ndarray:
+    """Euclidean distances between the rows of x and of y (y = x when omitted),
+    bit-identical to ``scipy.spatial.distance.cdist``; written into ``out`` when given.
+
+    Computed a block of rows at a time.  Without y only the blocks right of
+    the diagonal are computed and mirrored, since (a - b)^2 equals (b - a)^2 exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    same = y is None
+    y_cols = np.ascontiguousarray((x if same else np.asarray(y, dtype=float)).T)
+    if y_cols.shape[0] != x.shape[1]:
+        raise ValidationError(f"distances need rows of one width, got {x.shape[1]} and {y_cols.shape[0]}")
+    n = y_cols.shape[1]
+    out = np.empty((len(x), n)) if out is None else out
+    rows = max(1, _DISTANCE_BLOCK // max(n, 1))
+    diff = np.empty(rows * n)
+    for lo in range(0, len(x), rows):
+        hi = lo + rows
+        first = lo if same else 0
+        block = out[lo:hi, first:]
+        _distance_block(x[lo:hi], y_cols[:, first:], block, diff[: block.size].reshape(block.shape))
+        if same:
+            out[hi:, lo:hi] = block[:, hi - lo :].T
+    return out
+
+
 def double_center(dist: np.ndarray) -> np.ndarray:
     row = dist.mean(axis=0, keepdims=True)
     col = dist.mean(axis=1, keepdims=True)
@@ -68,11 +121,7 @@ def double_center(dist: np.ndarray) -> np.ndarray:
 
 
 def centered_distance_matrices(x: np.ndarray, y: np.ndarray):
-    from scipy.spatial.distance import cdist
-
-    a = double_center(cdist(x, x))
-    b = double_center(cdist(y, y))
-    return a, b
+    return double_center(distance_matrix(x)), double_center(distance_matrix(y))
 
 
 def dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
@@ -93,8 +142,9 @@ def subsample_rows(n: int, max_points: int, rng: np.random.Generator) -> np.ndar
 
 
 # Rows of the permuted distance matrix gathered per step of the dcor kernel;
-# a 64-row band of a 1024-point matrix (512 kB) stays in cache.
-_DCOR_ROW_BAND = 64
+# a 32-row band of a 1280-point matrix (320 kB) stays in cache, and the
+# diagonal blocks that the folded kernel reads whole stay small.
+_DCOR_ROW_BAND = 32
 # Permutations drawn and handed to the pool at a time (64 x 1024 indices is
 # 512 kB), so memory stays fixed whatever the permutation count.
 _DCOR_PERM_BLOCK = 64
@@ -126,12 +176,28 @@ def _pool_workers() -> int:
     return min(cpus, thread_cap() or cpus)
 
 
+def _fold_upper_bands(a: np.ndarray) -> np.ndarray:
+    """Double, in place, the blocks of a right of its diagonal band of rows; returns a.
+
+    For symmetric a and b, ``_permuted_covariance(a, b, perm)`` on the folded
+    a then equals ``sum(a * b[perm][:, perm])`` on the unfolded one.
+    """
+    for lo in range(0, len(a), _DCOR_ROW_BAND):
+        a[lo : lo + _DCOR_ROW_BAND, lo + _DCOR_ROW_BAND :] *= 2.0
+    return a
+
+
 def _permuted_covariance(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
-    """``sum(a * b[perm][:, perm])``, gathered and reduced one band of rows at a time."""
+    """The band sums of ``a[lo:hi, lo:] * b[perm[lo:hi]][:, perm[lo:]]``, in band order.
+
+    With a folded by :func:`_fold_upper_bands` this is ``sum(a * b[perm][:, perm])``
+    of the unfolded a; band ``lo`` gathers only the columns ``perm[lo:]``.
+    """
     total = 0.0
     for lo in range(0, len(perm), _DCOR_ROW_BAND):
         rows = np.take(b, perm[lo : lo + _DCOR_ROW_BAND], axis=0)
-        total += float(np.einsum("ij,ij->", a[lo : lo + _DCOR_ROW_BAND], np.take(rows, perm, axis=1)))
+        cols = np.take(rows, perm[lo:], axis=1)
+        total += float(np.einsum("ij,ij->", a[lo : lo + _DCOR_ROW_BAND, lo:], cols))
     return total
 
 
@@ -176,6 +242,7 @@ def dcor_permutation_test(
     a, b = centered_distance_matrices(x[keep], y[keep])
     observed = dcor_from_centered(a, b)
     m = a.shape[0]
+    _fold_upper_bands(a)
 
     def covariance(perm):
         # dcor clips a negative covariance to 0, so the ranking clips it too
@@ -198,8 +265,8 @@ def _energy_from_sums(s_aa, r_a, total: float, na: int, nb: int):
 
 # Permutations per indicator block of the energy kernel.  One block holds the
 # usual 199 permutations and the identity, so the pooled distances are
-# computed twice per test (row sums, then products); larger counts take more
-# blocks, and memory stays fixed.
+# computed once per test; larger counts take more blocks, each of which
+# recomputes them, and memory stays fixed.
 _ENERGY_PERM_BLOCK = 256
 # Rows of the pooled distance matrix computed at a time (128 x 2500 doubles
 # is 2.5 MB), so the full N x N matrix is never held.
@@ -225,11 +292,12 @@ def _energy_indicator_blocks(n: int, na: int, n_perm: int, rng: np.random.Genera
 
 
 def _distance_row_bands(pool: np.ndarray):
-    """Yield (first row, rows of ``cdist(pool, pool)``), _ENERGY_ROW_BAND rows at a time."""
-    from scipy.spatial.distance import cdist
-
+    """Yield (first row, rows of ``distance_matrix(pool)``), _ENERGY_ROW_BAND rows at a
+    time; each band is written over the one before."""
+    band = np.empty((min(_ENERGY_ROW_BAND, len(pool)), len(pool)))
     for lo in range(0, len(pool), _ENERGY_ROW_BAND):
-        yield lo, cdist(pool[lo : lo + _ENERGY_ROW_BAND], pool)
+        rows = pool[lo : lo + _ENERGY_ROW_BAND]
+        yield lo, distance_matrix(rows, pool, out=band[: len(rows)])
 
 
 def energy_permutation_test(
@@ -243,8 +311,6 @@ def energy_permutation_test(
 
     The p-value uses the add-one convention, as in `dcor_permutation_test`.
     """
-    from scipy.spatial.distance import cdist
-
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     keep_a = subsample_rows(len(a), max_points, rng)
@@ -252,21 +318,32 @@ def energy_permutation_test(
     pool = np.vstack([a[keep_a], b[keep_b]])
     na = len(keep_a)
     nb = len(pool) - na
-    row_sums = np.concatenate([band.sum(axis=1) for _, band in _distance_row_bands(pool)])
+    blocks = _energy_indicator_blocks(len(pool), na, n_perm, rng)
+    first = next(blocks)
+    # one pass gives the row sums, the within-A block and the first block's products
+    row_sums = np.empty(len(pool))
+    dist_aa = np.empty((na, na))
+    dist_first = np.empty_like(first)
+    for lo, band in _distance_row_bands(pool):
+        row_sums[lo : lo + len(band)] = band.sum(axis=1)
+        if lo < na:
+            dist_aa[lo : lo + len(band)] = band[: na - lo, :na]
+        dist_first[lo : lo + len(band)] = band @ first
     total = row_sums.sum()
     # the sums a direct computation forms from the full matrix, in the same order
-    s_aa = cdist(pool[:na], pool[:na]).sum()
-    observed = _energy_from_sums(s_aa, row_sums[:na].sum(), total, na, nb)
-    exceed = 0
-    kernel_obs = None
-    for z in _energy_indicator_blocks(len(pool), na, n_perm, rng):
+    observed = _energy_from_sums(dist_aa.sum(), row_sums[:na].sum(), total, na, nb)
+
+    def block_stats(z, dist_z):
+        return _energy_from_sums(np.einsum("ij,ij->j", z, dist_z), row_sums @ z, total, na, nb)
+
+    stats = block_stats(first, dist_first)
+    kernel_obs = stats[0]  # column 0 is the identity labelling
+    exceed = int(np.count_nonzero(stats[1:] >= kernel_obs))
+    for z in blocks:
         dist_z = np.empty_like(z)
         for lo, band in _distance_row_bands(pool):
             dist_z[lo : lo + len(band)] = band @ z
-        stats = _energy_from_sums(np.einsum("ij,ij->j", z, dist_z), row_sums @ z, total, na, nb)
-        if kernel_obs is None:
-            kernel_obs, stats = stats[0], stats[1:]
-        exceed += int(np.count_nonzero(stats >= kernel_obs))
+        exceed += int(np.count_nonzero(block_stats(z, dist_z) >= kernel_obs))
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(min(na, len(keep_b)))
 

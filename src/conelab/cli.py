@@ -513,7 +513,7 @@ def _thread_limit():
         return None
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:  # threadpoolctl is optional; scipy does not require it
+    except ImportError:  # threadpoolctl is optional
         pass
     else:
         return threadpool_limits(limits=limit).unregister

@@ -13,10 +13,9 @@ the frame, the Frobenius chain on the whole batch, then the group element
 sending e to a^{-1} adjusts the scale.  Sample batches and the tabulated
 oracles of ``conelab decompose`` share one CSV writer and reader.
 
-scipy is imported at first use, by the functions that need it: the cone
-Gamma function (``gammaln``), and so every normalizer and density, and the
-quadrature check (``roots_genlaguerre``).  The samplers and the algebra
-need numpy alone, so importing this module does not load scipy.
+The module needs numpy alone: the cone Gamma function sums ``math.lgamma``,
+and the quadrature check builds its generalized Gauss-Laguerre rules from
+the Jacobi matrix of the Laguerre recurrence (:func:`gauss_laguerre`).
 """
 
 from __future__ import annotations
@@ -64,15 +63,13 @@ def gamma_shapes(s, algebra: AlgebraDescriptor) -> np.ndarray:
 
 def log_gamma_cone(s, algebra: AlgebraDescriptor) -> float:
     """log of the cone Gamma function."""
-    from scipy.special import gammaln
-
     shapes = gamma_shapes(s, algebra)
     if np.any(shapes <= 0):
         raise DomainError(
             f"Gamma function needs s_j > (j-1)d/2; offending shapes {shapes}"
         )
     half_log_two_pi = 0.5 * (algebra.dim - algebra.rank) * np.log(2.0 * np.pi)
-    return float(half_log_two_pi + np.sum(gammaln(shapes)))
+    return float(half_log_two_pi + np.sum([math.lgamma(shape) for shape in shapes]))
 
 
 def gamma_cone(s, algebra: AlgebraDescriptor) -> float:
@@ -323,6 +320,52 @@ def riesz_model(params: RieszParams, algorithm) -> DensityModel:
 # ---------------------------------------------------------------------------
 
 
+def _laguerre_pair(n: int, alpha: float, x: np.ndarray) -> tuple:
+    """(L_n^alpha(x), L_{n-1}^alpha(x)) for n >= 1.
+
+    The recurrence runs on the differences of p_k = L_k^alpha / binom(k + alpha, k),
+    the form of ``scipy.special.eval_genlaguerre``.
+    """
+    d = -x / (alpha + 1.0)
+    below, p = np.ones_like(x), d + 1.0
+    scale_below, scale = 1.0, alpha + 1.0
+    for k in range(1, n):
+        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+        below, p = p, d + p
+        scale_below, scale = scale, scale * (k + 1.0 + alpha) / (k + 1.0)
+    return scale * p, scale_below * below
+
+
+def gauss_laguerre(n: int, alpha: float) -> tuple:
+    """Nodes and weights of the n-point Gauss rule for the weight x^alpha e^{-x} on (0, inf).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the recurrence,
+    refined by one Newton step on L_n^alpha; the weights are
+    1 / (L_{n-1}^alpha(x) L_n^alpha'(x)), each factor scaled by the geometric
+    middle of its magnitudes so the product neither overflows nor underflows,
+    then normalized to total Gamma(alpha + 1).  This is the construction of
+    ``scipy.special.roots_genlaguerre``.
+    """
+    if n < 1 or alpha <= -1:
+        raise ValidationError(f"Gauss-Laguerre rule needs n >= 1 and alpha > -1, got {n}, {alpha}")
+    mass = math.gamma(alpha + 1.0)
+    if n == 1:
+        return np.array([alpha + 1.0]), np.array([mass])
+    k = np.arange(1, n)
+    jacobi = np.diag(2.0 * np.arange(n) + alpha + 1.0)
+    jacobi[k, k - 1] = jacobi[k - 1, k] = -np.sqrt(k * (k + alpha))
+    x = np.linalg.eigvalsh(jacobi)
+    value, below = _laguerre_pair(n, alpha, x)
+    slope = (n * value - (n + alpha) * below) / x  # L_n^alpha'(x)
+    x = x - value / slope
+    _, below = _laguerre_pair(n, alpha, x)
+    for factor in (below, slope):
+        logs = np.log(np.abs(factor))
+        factor /= np.exp(0.5 * (logs.max() + logs.min()))
+    weights = 1.0 / (below * slope)
+    return x, weights * (mass / weights.sum())
+
+
 def riesz_normalization_quadrature(
     params: RieszParams,
     n_radial: int = 48,
@@ -340,8 +383,6 @@ def riesz_normalization_quadrature(
     between the closed-form integrand and exp(riesz_logpdf) on a subsample
     of nodes.
     """
-    from scipy.special import roots_genlaguerre
-
     algebra = params.algebra
     if algebra.kind != SYM_REAL or algebra.rank != 2:
         raise ValidationError("quadrature check supports sym_real rank 2 only")
@@ -354,8 +395,8 @@ def riesz_normalization_quadrature(
     rate = float(np.linalg.eigvalsh(a_mat).min())
     if rate <= 0:
         raise DomainError("scale parameter must be positive definite")
-    x_low, w_low = roots_genlaguerre(n_radial, beta)  # weight x^beta e^{-x}
-    x_gap, w_gap = roots_genlaguerre(n_radial, 1.0)  # weight x e^{-x}
+    x_low, w_low = gauss_laguerre(n_radial, beta)  # weight x^beta e^{-x}
+    x_gap, w_gap = gauss_laguerre(n_radial, 1.0)  # weight x e^{-x}
     theta = (np.arange(n_angle) + 0.5) * np.pi / n_angle
     theta_w = np.pi / n_angle
     l2, gap, th = np.meshgrid(x_low / rate, x_gap / rate, theta, indexing="ij")

@@ -82,7 +82,7 @@ def jacobian_check(
 
     The numeric value is the determinant of the full 2*dim x 2*dim derivative
     of (u, v) -> (w(v) u, w(v)(e - u)); the whole central-difference stencil
-    is evaluated by two calls of ``w.apply_batch``.
+    is evaluated by two prepared batches, of v and of the 2*dim rows of the v stencil.
     """
     if fd_step <= 0:
         raise ValidationError("finite-difference step must be positive")
@@ -108,9 +108,8 @@ def jacobian_check(
     vs = np.concatenate([v.coords + h_v * np.eye(dim), v.coords - h_v * np.eye(dim)])
     # (w(v) u, w(v)(e - u)) at the u stencil with v fixed, then at the v stencil with u fixed
     at_v = w.apply_batch(v.coords[None, :], np.concatenate([us, e - us]))
-    at_u = w.apply_batch(
-        np.concatenate([vs, vs]), np.repeat([u.coords, e - u.coords], 2 * dim, axis=0)
-    )
+    fixed_u = np.broadcast_to(np.stack([u.coords, e - u.coords])[:, None, :], (2, 2 * dim, dim))
+    at_u = w.at(vs).apply(fixed_u).reshape(4 * dim, dim)
     columns = []
     for images, h in ((at_v, h_u), (at_u, h_v)):
         forward = np.hstack([images[: 2 * dim], images[2 * dim :]])

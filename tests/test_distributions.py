@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import gammaln, roots_genlaguerre  # reference values
 
 from conelab import _stats
 from conelab import algebra as alg
@@ -26,6 +27,41 @@ def test_gamma_cone_closed_forms():
     assert dist.gamma_cone((2.0, 2.0), a2) == pytest.approx(2.2214, abs=5e-5)
     with pytest.raises(DomainError):
         dist.gamma_cone((2.0, 0.5), a2)  # needs s_2 > d/2
+
+
+@pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1), alg.sym_real(8), alg.herm_complex(6)], ids=lambda a: a.name)
+def test_log_gamma_cone_matches_gammaln(a):
+    """The sum of math.lgamma terms agrees with scipy's gammaln to 1e-14 relative
+    (absolute where the value is below 1, near the zeros of log Gamma)."""
+    rng = np.random.default_rng(a.dim)
+    for _ in range(200):
+        s = 0.5 * a.peirce_d * np.arange(a.rank) + rng.uniform(0.05, 30.0, size=a.rank)
+        want = 0.5 * (a.dim - a.rank) * np.log(2.0 * np.pi) + np.sum(gammaln(dist.gamma_shapes(s, a)))
+        assert_allclose(dist.log_gamma_cone(s, a), want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 48])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 1.0, 2.5, 7.25])
+def test_gauss_laguerre_matches_scipy(n, alpha):
+    x, w = dist.gauss_laguerre(n, alpha)
+    x_ref, w_ref = roots_genlaguerre(n, alpha)
+    assert_allclose(x, x_ref, rtol=0, atol=1e-12)
+    assert_allclose(w, w_ref, rtol=1e-10, atol=0)
+
+
+def test_gauss_laguerre_integrates_polynomials_exactly():
+    """An n-point rule integrates x^k x^alpha e^{-x} exactly for k < 2n: Gamma(alpha + k + 1)."""
+    for n, alpha in [(3, 0.5), (12, 1.0), (20, 2.3)]:
+        x, w = dist.gauss_laguerre(n, alpha)
+        for k in range(2 * n):
+            want = math.gamma(alpha + k + 1)
+            assert np.sum(w * x**k) == pytest.approx(want, rel=1e-9), (n, alpha, k)
+
+
+def test_gauss_laguerre_validation():
+    for n, alpha in [(0, 1.0), (3, -1.0), (3, -2.0)]:
+        with pytest.raises(ValidationError):
+            dist.gauss_laguerre(n, alpha)
 
 
 def test_param_validation():

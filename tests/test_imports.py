@@ -1,10 +1,10 @@
-"""The import graph: conelab loads scipy only in the functions that call it.
+"""The import graph: conelab runs on numpy alone and never loads scipy.
 
 Each case runs in a fresh interpreter, since this process has scipy loaded
-already.  ``import conelab``, ``conelab sample``, ``conelab decompose`` and the
-suites that need no distance matrix or cone Gamma function leave no scipy
-module in ``sys.modules``; a ``lukacs`` run loads ``scipy.spatial``, so the
-deferred imports do run.
+already (the tests use it as a reference).  ``import conelab``, ``conelab
+sample``, ``conelab decompose`` and ``conelab run`` of every suite, the
+permutation tests, cone Gamma functions and the quadrature check included,
+leave no scipy module in ``sys.modules``.
 """
 
 import json
@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import conelab
+from conelab import cli
 
 SRC = str(Path(conelab.__file__).resolve().parent.parent)
 
-SCIPY_FREE_SUITES = ["algebra-axioms", "peirce", "triangular", "mult-alg", "functional-eq"]
 
 # print the exit status of ``cli.main(argv)`` (None: no command) and the scipy modules loaded
 PROBE = """
@@ -66,22 +66,18 @@ def test_import_loads_no_scipy():
                 "oracle": {"family": "riesz-form", "s1": [2.0, 1.0], "s2": [1.5, 0.5], "grid": {"n_points": 200}},
             },
         ),
-        (
-            "run",
-            {
-                "algebra": "sym_real(2)",
-                "suites": SCIPY_FREE_SUITES,
-                "samples": {"algebra-axioms": 200, "peirce": 30, "triangular": 30, "mult-alg": 10, "functional-eq": 60},
-            },
-        ),
     ],
-    ids=["sample", "decompose", "run"],
+    ids=["sample", "decompose"],
 )
-def test_commands_without_distances_or_normalizers_load_no_scipy(tmp_path, command, fields):
+def test_sample_and_decompose_load_no_scipy(tmp_path, command, fields):
     assert fresh_run(command, config(tmp_path, **fields)) == (0, [])
 
 
-def test_lukacs_suite_loads_scipy_spatial(tmp_path):
-    status, modules = fresh_run("run", config(tmp_path, suites=["lukacs"], samples={"lukacs": 300}))
-    assert status == 0
-    assert "scipy.spatial" in modules
+def test_every_suite_runs_without_scipy(tmp_path):
+    """All seven suites at their default sizes on sym_real(2), where the
+    ``distributions`` suite runs the quadrature check, and the permutation
+    tests of ``lukacs``."""
+    cfg = config(tmp_path, algebra="sym_real(2)", algorithm="w1", suites=list(cli.SUITE_NAMES))
+    assert fresh_run("run", cfg) == (0, [])
+    reports = {path.stem for path in (tmp_path / "out").glob("*.json")}
+    assert set(cli.SUITE_NAMES) <= reports

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -121,6 +123,27 @@ def test_jacobian_for_all_algorithms(a, rng):
             v = alg.random_cone_element(a, rng, 0.4, 2.5)
             analytic, numeric = lk.jacobian_check(v, w, 1e-5, rng=rng)
             assert abs(analytic - numeric) / abs(analytic) < 1e-6
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
+def test_jacobian_prepares_the_v_stencil_once(a, rng):
+    """One prepared batch of v, and one of the 2*dim distinct rows of the v stencil."""
+    frame = alg.standard_frame(a)
+    v = alg.random_cone_element(a, rng, 0.4, 2.5)
+    u = 0.5 * alg.identity(a)
+    for spec in ("w1", "w2", "interp:0.25", "kext:w2:3"):
+        base = ma.parse_algorithm(spec, a, frame)
+        rows_seen = []
+
+        def counting(x, prepare=base.prepare):
+            rows_seen.append(len(x))
+            return prepare(x)
+
+        w = dataclasses.replace(base, prepare=counting)
+        got = lk.jacobian_check(v, w, 1e-5, u=u)
+        assert rows_seen == [1, 2 * a.dim], spec
+        assert got == lk.jacobian_check(v, base, 1e-5, u=u)
+        assert abs(got[0] - got[1]) / abs(got[0]) < 1e-6, spec
 
 
 def test_jacobian_step_validation(rng):

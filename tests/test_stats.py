@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist  # the reference distances
 
 from conelab import _stats
 from conelab.errors import ValidationError
@@ -71,12 +72,44 @@ def test_dcor_permutation_test_levels(rng):
     assert p_dep == pytest.approx(0.01, abs=1e-12)  # the add-one floor at 99 permutations
 
 
+@pytest.mark.parametrize("dim", [1, 3, 4, 9, 36])
+@pytest.mark.parametrize("m", [1, 2, 64, 129, 300])
+@pytest.mark.parametrize("rows", [None, 1, 7, 64])
+def test_distance_matrix_is_cdist_bit_for_bit(monkeypatch, dim, m, rows):
+    """Equal to scipy's cdist in every bit, on one row and with blocks of 1, 7, 64
+    and the default number of rows (ragged last blocks included), for the mirrored
+    x-against-x form and the x-against-y form."""
+    if rows is not None:
+        monkeypatch.setattr(_stats, "_DISTANCE_BLOCK", rows * m)
+    rng = np.random.default_rng(10 * dim + m)
+    x = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    y = rng.standard_normal((m + 3, dim))
+    assert np.array_equal(_stats.distance_matrix(x), cdist(x, x))
+    assert np.array_equal(_stats.distance_matrix(x, y), cdist(x, y))
+    assert np.array_equal(_stats.distance_matrix(y, x), cdist(y, x))
+
+
+def test_distance_matrix_rejects_rows_of_different_widths():
+    with pytest.raises(ValidationError, match="width"):
+        _stats.distance_matrix(np.ones((3, 2)), np.ones((4, 3)))
+
+
+def test_distance_matrix_with_duplicate_rows():
+    """Repeated rows give exact zeros off the diagonal and equal rows, as cdist does."""
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((40, 4))
+    x = base[rng.integers(0, 40, size=300)]
+    got = _stats.distance_matrix(x)
+    assert np.array_equal(got, cdist(x, x))
+    assert np.array_equal(got, got.T)
+    same = (x[:, None, :] == x[None, :, :]).all(axis=2)
+    assert np.all(got[same] == 0.0) and np.all(got[~same] > 0.0)
+
+
 def test_energy_statistic_matches_blocks(rng):
     a = rng.standard_normal((20, 3))
     b = rng.standard_normal((30, 3)) + 1.0
     pool = np.vstack([a, b])
-    from scipy.spatial.distance import cdist
-
     d = cdist(pool, pool)
     idx_a = np.arange(20)
     idx_b = np.arange(20, 50)
@@ -144,8 +177,6 @@ def reference_dcor_permutation_test(x, y, n_perm, rng, max_points=1280):
 
 
 def reference_energy_permutation_test(a, b, n_perm, rng, max_points=768):
-    from scipy.spatial.distance import cdist
-
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     keep_a = _stats.subsample_rows(len(a), max_points, rng)
@@ -233,6 +264,23 @@ def test_energy_kernel_matches_reference_perm_counts(n_perm):
         _stats.energy_permutation_test, reference_energy_permutation_test,
         5, (a, b), n_perm, 100,
     )
+
+
+@pytest.mark.parametrize("n_perm, passes", [(0, 1), (99, 1), (BLOCK - 1, 1), (BLOCK, 2), (2 * BLOCK, 3)])
+def test_energy_kernel_computes_the_pooled_distances_once_per_block(monkeypatch, n_perm, passes):
+    """The first indicator block shares the row-sum pass; each later block takes one more pass."""
+    rows = []
+
+    def counting(x, y=None, out=None, distance_matrix=_stats.distance_matrix):
+        rows.append(len(x))
+        return distance_matrix(x, y, out)
+
+    monkeypatch.setattr(_stats, "distance_matrix", counting)
+    data_rng = np.random.default_rng(13)
+    a = data_rng.standard_normal((150, 2))
+    b = data_rng.standard_normal((130, 2))
+    _stats.energy_permutation_test(a, b, n_perm, np.random.default_rng(1), max_points=120)
+    assert sum(rows) == passes * 240
 
 
 @pytest.mark.parametrize("n_perm", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
@@ -356,11 +404,12 @@ def test_bad_thread_cap_raises_a_validation_error_naming_the_variable(monkeypatc
 @example(m=ROW_BAND, seed=1)
 @example(m=2 * ROW_BAND + 5, seed=2)
 def test_permuted_covariance_matches_the_full_gather(m, seed):
-    """The band sums equal sum(a * b[p][:, p]) within 1e-12 of the sum of |terms|
-    (the sum itself can cancel to near zero)."""
+    """On the folded a, the half-gather band sums equal sum(a * b[p][:, p]) of the
+    unfolded a within 1e-12 of the sum of |terms| (the sum itself can cancel to
+    near zero)."""
     rng = np.random.default_rng(seed)
     a, b = _stats.centered_distance_matrices(rng.standard_normal((m, 2)), rng.standard_normal((m, 3)))
     perm = rng.permutation(m)
     terms = a * b[np.ix_(perm, perm)]
-    got = _stats._permuted_covariance(a, b, perm)
+    got = _stats._permuted_covariance(_stats._fold_upper_bands(a.copy()), b, perm)
     assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
