@@ -15,10 +15,11 @@ Two kernels keep that traffic small:
   rows at a time and each band is reduced with ``einsum``, so no ``m x m``
   temporary is built per permutation.  Both matrices are symmetric (up to
   the rounding of the centring), so once the observed statistic is computed
-  the blocks of ``a`` right of its diagonal band are doubled (exact in
-  floating point) and band ``lo`` gathers only the columns ``p[lo:]``: half
-  the gather and half the reduction of the full sum.  The identity
-  permutation goes through the same folded sum, so the ranking stays exact.
+  ``a`` is kept as its bands right of the diagonal, with the blocks right
+  of each diagonal block doubled (exact in floating point), and band ``lo``
+  gathers only the columns ``p[lo:]``: half the gather and half the
+  reduction of the full sum.  The identity permutation goes through the
+  same folded sum, so the ranking stays exact.
   The permutations are scored on a
   thread pool that lives for one call, with one worker per usable CPU
   (capped by ``CONELAB_THREADS`` when it is set; one worker runs inline).
@@ -142,9 +143,10 @@ def subsample_rows(n: int, max_points: int, rng: np.random.Generator) -> np.ndar
 
 
 # Rows of the permuted distance matrix gathered per step of the dcor kernel;
-# a 32-row band of a 1280-point matrix (320 kB) stays in cache, and the
-# diagonal blocks that the folded kernel reads whole stay small.
-_DCOR_ROW_BAND = 32
+# a 64-row band of a 1024-point matrix (512 kB) stays in cache.  Narrower
+# bands cost more Python steps per permutation, which the pool's threads
+# then wait on (32 rows was 1.8x slower at 600 points on 2 threads).
+_DCOR_ROW_BAND = 64
 # Permutations drawn and handed to the pool at a time (64 x 1024 indices is
 # 512 kB), so memory stays fixed whatever the permutation count.
 _DCOR_PERM_BLOCK = 64
@@ -176,28 +178,28 @@ def _pool_workers() -> int:
     return min(cpus, thread_cap() or cpus)
 
 
-def _fold_upper_bands(a: np.ndarray) -> np.ndarray:
-    """Double, in place, the blocks of a right of its diagonal band of rows; returns a.
+def _fold_upper_bands(a: np.ndarray) -> list:
+    """Contiguous copies of the bands ``a[lo:lo + _DCOR_ROW_BAND, lo:]``, the blocks
+    right of the diagonal block doubled.
 
-    For symmetric a and b, ``_permuted_covariance(a, b, perm)`` on the folded
-    a then equals ``sum(a * b[perm][:, perm])`` on the unfolded one.
+    For symmetric a and b, ``_permuted_covariance(bands, b, perm)`` then equals
+    ``sum(a * b[perm][:, perm])``.
     """
+    bands = []
     for lo in range(0, len(a), _DCOR_ROW_BAND):
-        a[lo : lo + _DCOR_ROW_BAND, lo + _DCOR_ROW_BAND :] *= 2.0
-    return a
+        band = a[lo : lo + _DCOR_ROW_BAND, lo:].copy()
+        band[:, _DCOR_ROW_BAND:] *= 2.0
+        bands.append(band)
+    return bands
 
 
-def _permuted_covariance(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
-    """The band sums of ``a[lo:hi, lo:] * b[perm[lo:hi]][:, perm[lo:]]``, in band order.
-
-    With a folded by :func:`_fold_upper_bands` this is ``sum(a * b[perm][:, perm])``
-    of the unfolded a; band ``lo`` gathers only the columns ``perm[lo:]``.
-    """
+def _permuted_covariance(a_bands: list, b: np.ndarray, perm: np.ndarray) -> float:
+    """The sums of ``a_bands[k] * b[perm[lo:hi]][:, perm[lo:]]``, in band order,
+    with ``lo = k * _DCOR_ROW_BAND``: band ``lo`` gathers only the columns ``perm[lo:]``."""
     total = 0.0
-    for lo in range(0, len(perm), _DCOR_ROW_BAND):
+    for lo, band in zip(range(0, len(perm), _DCOR_ROW_BAND), a_bands):
         rows = np.take(b, perm[lo : lo + _DCOR_ROW_BAND], axis=0)
-        cols = np.take(rows, perm[lo:], axis=1)
-        total += float(np.einsum("ij,ij->", a[lo : lo + _DCOR_ROW_BAND, lo:], cols))
+        total += float(np.einsum("ij,ij->", band, np.take(rows, perm[lo:], axis=1)))
     return total
 
 
@@ -242,7 +244,7 @@ def dcor_permutation_test(
     a, b = centered_distance_matrices(x[keep], y[keep])
     observed = dcor_from_centered(a, b)
     m = a.shape[0]
-    _fold_upper_bands(a)
+    a = _fold_upper_bands(a)  # the full matrix is no longer needed
 
     def covariance(perm):
         # dcor clips a negative covariance to 0, so the ranking clips it too

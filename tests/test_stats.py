@@ -411,5 +411,5 @@ def test_permuted_covariance_matches_the_full_gather(m, seed):
     a, b = _stats.centered_distance_matrices(rng.standard_normal((m, 2)), rng.standard_normal((m, 3)))
     perm = rng.permutation(m)
     terms = a * b[np.ix_(perm, perm)]
-    got = _stats._permuted_covariance(_stats._fold_upper_bands(a.copy()), b, perm)
+    got = _stats._permuted_covariance(_stats._fold_upper_bands(a), b, perm)
     assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
