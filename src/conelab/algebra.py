@@ -822,3 +822,15 @@ def axiom_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator
         "neutrality": neutrality,
         "form_associativity": form_associativity,
     }
+
+
+def spectral_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator) -> dict:
+    """Max relative residuals of the spectral calculus: spectral_reconstruction on n standard
+    normal rows, then inverse_involution (v^{-1})^{-1} = v on ``random_cone_points(n, 0.05, 20.0)``."""
+    x = rng.standard_normal((n, algebra.dim))
+    lam, rebuild = batch_spectrum(algebra, x)
+    recon = np.linalg.norm(rebuild(lam) - x, axis=1) / np.maximum(np.linalg.norm(x, axis=1), 1e-30)
+    v = random_cone_points(algebra, n, rng, 0.05, 20.0)
+    inv_inv = batch_spectral_map(algebra, batch_spectral_map(algebra, v, np.reciprocal), np.reciprocal)
+    inv_resid = np.linalg.norm(inv_inv - v, axis=1) / np.linalg.norm(v, axis=1)
+    return {"spectral_reconstruction": float(np.max(recon)), "inverse_involution": float(np.max(inv_resid))}

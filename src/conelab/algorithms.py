@@ -275,7 +275,9 @@ def divide(w: MultiplicationAlgorithm, x: Element, y: Element) -> Element:
 
 @dataclass(frozen=True)
 class AlgorithmReport:
-    """Max residuals of the defining and structural properties over a sample."""
+    """Max residuals over a sample of w(x) e = x, w(x) y in the cone, w(s x) = s w(x),
+    w(s x)^{-1} = w(x)^{-1} / s, DDet w(x) = (det x)^(dim/r), det(w(x) y) = det x det y
+    and g(x) (w(x) y) = y, in field order."""
 
     spec: str
     samples: int
@@ -284,19 +286,9 @@ class AlgorithmReport:
     homogeneity: float
     divide_scaling: float
     ddet_rel: float
+    det_multiplicativity: float
+    divide_roundtrip: float
     homogeneous: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "samples": self.samples,
-            "neutrality": self.neutrality,
-            "cone_violation": self.cone_violation,
-            "homogeneity": self.homogeneity,
-            "divide_scaling": self.divide_scaling,
-            "ddet_rel": self.ddet_rel,
-            "homogeneous": self.homogeneous,
-        }
 
 
 def check_algorithm(
@@ -305,10 +297,10 @@ def check_algorithm(
     rng: np.random.Generator,
     homogeneity_tol: float = 1e-9,
 ) -> AlgorithmReport:
-    """Measure neutrality, cone preservation, degree-1 scaling and the
-    endomorphism-determinant law DDet(w(y)) = (det y)^(dim/r).
+    """The residuals of :class:`AlgorithmReport` on one draw of cone points x, y and scales s.
 
-    Every residual is read from the stacked matrices w(x_i) and w(s_i x_i).
+    All but the division roundtrip are read from the stacked matrices w(x_i)
+    and w(s_i x_i); the roundtrip is one ``solve_batch`` of x over the rows w(x_i) y_i.
     """
     algebra = w.algebra
     exponent = algebra.dim / algebra.rank
@@ -319,17 +311,20 @@ def check_algorithm(
     ws = w.matrices(s[:, None] * x)
     scale = s[:, None, None]
     dd = np.linalg.det(wx)
-    det_x = np.prod(batch_eigenvalues(algebra, x), axis=1)
+    det_x, det_y = (np.prod(batch_eigenvalues(algebra, z), axis=1) for z in (x, y))
     wx_y = (wx @ y[:, :, None])[:, :, 0]
+    lam_wx_y = batch_eigenvalues(algebra, wx_y)
     # np.max keeps a NaN, so it fails every gate
-    neutrality, cone_violation, homogeneity, divide_scaling, ddet_rel = (
+    neutrality, cone_violation, homogeneity, divide_scaling, ddet_rel, det_mult, roundtrip = (
         float(np.max(v, initial=0.0))
         for v in (
             batch_norm(algebra, wx @ identity(algebra).coords - x) / np.maximum(batch_norm(algebra, x), 1.0),
-            np.maximum(0.0, -np.min(batch_eigenvalues(algebra, wx_y), axis=1)),
+            np.maximum(0.0, -np.min(lam_wx_y, axis=1)),
             np.max(np.abs(ws - scale * wx), axis=(1, 2)) / np.maximum(s, 1.0),
             np.max(np.abs(np.linalg.inv(ws) - np.linalg.inv(wx) / scale), axis=(1, 2)),
             np.abs(dd - det_x**exponent) / np.abs(dd),
+            np.abs(np.prod(lam_wx_y, axis=1) - det_x * det_y) / np.abs(det_x * det_y),
+            np.linalg.norm(w.solve_batch(x, wx_y) - y, axis=1) / np.linalg.norm(y, axis=1),
         )
     )
     return AlgorithmReport(
@@ -340,5 +335,7 @@ def check_algorithm(
         homogeneity=homogeneity,
         divide_scaling=divide_scaling,
         ddet_rel=ddet_rel,
+        det_multiplicativity=det_mult,
+        divide_roundtrip=roundtrip,
         homogeneous=homogeneity <= homogeneity_tol,
     )

@@ -9,7 +9,10 @@ Subcommands
 Exit codes: 0 all checks passed, 1 a suite or decomposition failed its
 thresholds, 2 unusable configuration.  Reports depend only on (config, seed):
 suites run sequentially and every random draw flows from the config seed, so
-identical configs produce byte-identical report files.
+identical configs produce byte-identical report files.  The seed is an
+integer >= 0.  The suites compare with their thresholds the residuals of the
+library functions that own the identities; the ``peirce`` suite's
+``constant_power_det`` is still computed here.
 
 The environment variable CONELAB_THREADS, an integer >= 1, caps the workers
 of the permutation pool, and for the length of ``conelab run`` the BLAS
@@ -37,8 +40,6 @@ from .algebra import (
     Points,
     axiom_residuals,
     batch_eigenvalues,
-    batch_spectral_map,
-    batch_spectrum,
     herm_complex,
     identity,
     lorentz,
@@ -47,6 +48,7 @@ from .algebra import (
     random_cone_element,
     random_cone_points,
     random_element,
+    spectral_residuals,
     standard_frame,
     sym_real,
 )
@@ -70,7 +72,6 @@ from .distributions import (
 from .errors import (
     ConelabError,
     ConfigError,
-    DomainError,
     FitError,
     InconsistencyError,
     ValidationError,
@@ -87,7 +88,7 @@ from .funceq import (
     wlog_residual,
     zero_fn,
 )
-from .lukacs import batch_quotient, factorization_residual, independence_test, jacobian_check
+from .lukacs import bijection_residual, factorization_residual, independence_test, jacobian_residual
 from .peirce import (
     PowerExponent,
     batch_generalized_power_log,
@@ -148,7 +149,14 @@ def _sub_rng(seed: int, label: str) -> np.random.Generator:
     """Independent generator derived from the run seed and a stable label."""
     digest = hashlib.sha256(label.encode()).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF] + words))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
+
+
+def _run_seed(value) -> int:
+    """The run seed: an integer >= 0, as ``SeedSequence`` takes no negative entropy."""
+    if not isinstance(value, int) or value < 0:
+        raise ConfigError(f"'seed' must be an integer >= 0 (no wall-clock seeding), got {value!r}")
+    return value
 
 
 def _algebra_from_config(value) -> AlgebraDescriptor:
@@ -178,8 +186,7 @@ def load_config(path) -> dict:
         raise ConfigError("config must be a JSON object")
     if "seed" not in cfg:
         raise ConfigError("config requires an explicit integer 'seed'")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("'seed' must be an integer (no wall-clock seeding)")
+    _run_seed(cfg["seed"])
     return cfg
 
 
@@ -251,20 +258,10 @@ def _check(value: float, threshold: float, comparison: str = "le") -> dict:
 
 
 def suite_algebra_axioms(algebra, algorithm, rng, n, tol):
-    checks = {}
-    residuals = axiom_residuals(algebra, n, rng)
-    for name, value in residuals.items():
-        checks[name] = _check(value, tol["axioms"])
-    # spectral reconstruction and inverse involution on a smaller sample
-    m = min(n, 200)
-    x = rng.standard_normal((m, algebra.dim))
-    lam, rebuild = batch_spectrum(algebra, x)
-    recon = np.linalg.norm(rebuild(lam) - x, axis=1) / np.maximum(np.linalg.norm(x, axis=1), 1e-30)
-    v = random_cone_points(algebra, m, rng, 0.05, 20.0)
-    inv_inv = batch_spectral_map(algebra, batch_spectral_map(algebra, v, np.reciprocal), np.reciprocal)
-    inv_resid = np.linalg.norm(inv_inv - v, axis=1) / np.linalg.norm(v, axis=1)
-    checks["spectral_reconstruction"] = _check(np.max(recon), 1e-9)
-    checks["inverse_involution"] = _check(np.max(inv_resid), 1e-9)
+    checks = {name: _check(value, tol["axioms"]) for name, value in axiom_residuals(algebra, n, rng).items()}
+    # the spectral calculus on a smaller sample
+    for name, value in spectral_residuals(algebra, min(n, 200), rng).items():
+        checks[name] = _check(value, 1e-9)
     dim_expected = algebra.rank + algebra.peirce_d * algebra.rank * (algebra.rank - 1) // 2
     checks["dimension_identity"] = _check(abs(algebra.dim - dim_expected), 0.0)
     return checks
@@ -309,16 +306,8 @@ def suite_mult_alg(algebra, algorithm, rng, n, tol):
     checks["ddet_law"] = _check(report.ddet_rel, tol["ddet"])
     if algorithm.homogeneous:
         checks["homogeneity"] = _check(report.homogeneity, tol["neutrality"])
-    x, y = draw_cone_pairs(algebra, min(n, 50), rng)
-    lhs, det_y, det_x = (
-        np.prod(batch_eigenvalues(algebra, z), axis=1) for z in (algorithm.apply_batch(y, x), y, x)
-    )
-    det_resid = np.max(np.abs(lhs - det_y * det_x) / np.abs(det_y * det_x))
-    checks["det_multiplicativity"] = _check(det_resid, tol["ddet"])
-    # division undoes multiplication: g(x) (w(x) y) = y, through solve_batch
-    back = algorithm.solve_batch(x, algorithm.apply_batch(x, y))
-    roundtrip = np.linalg.norm(back - y, axis=1) / np.linalg.norm(y, axis=1)
-    checks["divide_roundtrip"] = _check(np.max(roundtrip), tol["bijection"])
+    checks["det_multiplicativity"] = _check(report.det_multiplicativity, tol["ddet"])
+    checks["divide_roundtrip"] = _check(report.divide_roundtrip, tol["bijection"])
     return checks
 
 
@@ -402,45 +391,30 @@ def suite_lukacs(algebra, algorithm, rng, n, tol):
     frame = algorithm.frame if algorithm.frame is not None else standard_frame(algebra)
     # the quotient map and its inverse (u, v) -> (w(v) u, v - w(v) u)
     x, y = draw_cone_pairs(algebra, min(n, 100), rng)
-    u, v = batch_quotient(algorithm, x, y)
-    lam_u = batch_eigenvalues(algebra, u)
-    if not (np.all(lam_u > 0.0) and np.all(lam_u < 1.0)):
-        raise DomainError("quotient component is outside the domain D")
-    x2 = algorithm.apply_batch(v, u)
-    gap = np.linalg.norm(x2 - x, axis=1) + np.linalg.norm(v - x2 - y, axis=1)
-    checks["bijection"] = _check(np.sqrt(algebra.inner_scale) * np.max(gap), tol["bijection"])
+    checks["bijection"] = _check(bijection_residual(algorithm, x, y), tol["bijection"])
+    checks["jacobian"] = _check(jacobian_residual(algorithm, 5, rng, 0.3, 3.0), tol["jacobian"])
 
-    jac = []
-    for _ in range(5):
-        v = random_cone_element(algebra, rng, 0.3, 3.0)
-        analytic, numeric = jacobian_check(v, algorithm, 1e-5, rng=rng)
-        jac.append(abs(analytic - numeric) / abs(analytic))
-    checks["jacobian"] = _check(np.max(jac), tol["jacobian"])
-
+    # matched laws of X and Y, and a Y whose scale is shifted from the one of X
     a = random_cone_element(algebra, rng, 0.8, 1.6)
+    a_shift = a + 0.1 * identity(algebra)
     nd_ratio = algebra.dim / algebra.rank
     if algorithm.kind == "w2":
         shifts = 0.5 * algebra.peirce_d * np.arange(algebra.rank)
         s1 = PowerExponent.of(shifts + nd_ratio + 0.8)
         s2 = PowerExponent.of(shifts + nd_ratio + 0.3)
-        model_x = riesz_model(RieszParams(s1, a, frame), algorithm)
-        model_y = riesz_model(RieszParams(s2, a, frame), algorithm)
+        model_x, model_y, model_bad = (
+            riesz_model(RieszParams(s, scale, frame), algorithm)
+            for s, scale in ((s1, a), (s2, a), (s2, a_shift))
+        )
     else:
-        model_x = wishart_model(WishartParams(nd_ratio + 1.2, a), algorithm, frame)
-        model_y = wishart_model(WishartParams(nd_ratio + 0.7, a), algorithm, frame)
+        model_x, model_y, model_bad = (
+            wishart_model(WishartParams(nd_ratio + p, scale), algorithm, frame)
+            for p, scale in ((1.2, a), (0.7, a), (0.7, a_shift))
+        )
     pairs = draw_cone_pairs(algebra, 50, rng)
     checks["factorization"] = _check(
         factorization_residual(model_x, model_y, algorithm, pairs), tol["factorization"]
     )
-    a_shift = a + 0.1 * identity(algebra)
-    if algorithm.kind == "w2":
-        model_bad = riesz_model(
-            RieszParams(model_y.riesz_params.s, a_shift, frame), algorithm
-        )
-    else:
-        model_bad = wishart_model(
-            WishartParams(model_y.riesz_params.s.values[0], a_shift), algorithm, frame
-        )
     checks["factorization_mismatch"] = _check(
         factorization_residual(model_x, model_bad, algorithm, pairs, strict=False),
         tol["factorization_mismatch"],
@@ -752,7 +726,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _run_seed(args.seed)
         if getattr(args, "suite", None):
             cfg["suites"] = args.suite
         out_dir = Path(args.out or cfg.get("out_dir", "reports"))

@@ -201,7 +201,7 @@ def _scale_matrix(params: RieszParams):
     algebra = params.algebra
     if np.max(np.abs(params.a.coords - identity(algebra).coords)) < 1e-14:
         return None
-    a_inv = np.tile(inverse(params.a).coords, (algebra.dim, 1))
+    a_inv = inverse(params.a).coords[None, :]  # a one-row batch applies to every basis row
     return batch_triangular_decompose(a_inv, params.frame).apply(np.eye(algebra.dim)).T
 
 

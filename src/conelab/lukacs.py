@@ -18,10 +18,12 @@ import numpy as np
 from . import _stats
 from .algebra import (
     Element,
+    batch_eigenvalues,
     determinant,
     identity,
     norm,
     random_automorphism_k,
+    random_cone_element,
     require_in_cone,
 )
 from .algorithms import MultiplicationAlgorithm, divide
@@ -119,6 +121,19 @@ def jacobian_check(
     return float(analytic), numeric
 
 
+def jacobian_residual(
+    w: MultiplicationAlgorithm, n: int, rng: np.random.Generator, low: float, high: float, fd_step: float = 1e-5
+) -> float:
+    """Largest relative error of :func:`jacobian_check` over n points, each drawing from ``rng``
+    its v with spectrum in [low, high] and then its u; a NaN is kept, so it fails every gate."""
+    errors = []
+    for _ in range(n):
+        v = random_cone_element(w.algebra, rng, low, high)
+        analytic, numeric = jacobian_check(v, w, fd_step, rng=rng)
+        errors.append(abs(analytic - numeric) / abs(analytic))
+    return float(np.max(errors, initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # batched quotient computation
 # ---------------------------------------------------------------------------
@@ -130,6 +145,19 @@ def batch_quotient(
     """(u, v) coordinate batches of the quotient map: v = x + y, u = g(v) x."""
     v = x + y
     return w.solve_batch(v, x), v
+
+
+def bijection_residual(w: MultiplicationAlgorithm, x: np.ndarray, y: np.ndarray) -> float:
+    """Max gap |w(v) u - x| + |v - w(v) u - y|, in the inner-product norm, of the quotient map
+    of (n, dim) cone rows x, y and its inverse; DomainError when a row u leaves the domain D."""
+    algebra = w.algebra
+    u, v = batch_quotient(w, x, y)
+    lam_u = batch_eigenvalues(algebra, u)
+    if not (np.all(lam_u > 0.0) and np.all(lam_u < 1.0)):
+        raise DomainError("quotient component is outside the domain D")
+    x2 = w.apply_batch(v, u)
+    gap = np.linalg.norm(x2 - x, axis=1) + np.linalg.norm(v - x2 - y, axis=1)
+    return float(np.sqrt(algebra.inner_scale) * np.max(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +221,6 @@ class IndependenceReport:
     n_perm: int
     seeds: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n": self.n,
-            "n_used": self.n_used,
-            "n_perm": self.n_perm,
-            "seeds": self.seeds,
-        }
-
 
 def independence_test(
     samples_x,
@@ -240,15 +258,6 @@ class KQuotientReport:
     n_reject: int
     threshold: float
     n: int
-
-    def as_dict(self) -> dict:
-        return {
-            "p_values": list(self.p_values),
-            "statistics": list(self.statistics),
-            "n_reject": self.n_reject,
-            "threshold": self.threshold,
-            "n": self.n,
-        }
 
 
 def k_invariant_quotient_check(

@@ -114,6 +114,8 @@ def test_check_algorithm_homogeneous_cases(a):
         assert report.homogeneity <= 1e-9
         assert report.divide_scaling <= 1e-9
         assert report.ddet_rel <= 1e-8
+        assert report.det_multiplicativity <= cli.DEFAULT_TOLERANCES["ddet"]
+        assert report.divide_roundtrip <= cli.DEFAULT_TOLERANCES["bijection"]
         assert report.homogeneous
 
 
@@ -166,6 +168,7 @@ def test_a_wrong_division_map_fails_the_mult_alg_suite():
     assert not all(c["passed"] for c in bad.values())
     assert [name for name, c in bad.items() if not c["passed"]] == ["divide_roundtrip"]
     assert bad["divide_roundtrip"]["value"] == pytest.approx(1.0)
+    assert ma.check_algorithm(doubled, 30, np.random.default_rng(5)).divide_roundtrip == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
@@ -224,12 +227,15 @@ def test_check_algorithm_on_no_samples_and_on_rank_one(a):
     for w in all_algorithms(a):
         empty = ma.check_algorithm(w, 0, np.random.default_rng(3))
         assert empty.samples == 0 and empty.homogeneous
-        for key in ("neutrality", "cone_violation", "homogeneity", "divide_scaling", "ddet_rel"):
+        residuals = (
+            "neutrality", "homogeneity", "divide_scaling", "ddet_rel", "det_multiplicativity", "divide_roundtrip"
+        )
+        for key in ("cone_violation",) + residuals:
             assert getattr(empty, key) == 0.0
         if a.rank == 1:
             report = ma.check_algorithm(w, 20, np.random.default_rng(3))
             assert report.cone_violation == 0.0
-            assert max(report.neutrality, report.homogeneity, report.divide_scaling, report.ddet_rel) <= 1e-14
+            assert max(getattr(report, key) for key in residuals) <= 1e-14
 
 
 def test_piecewise_algorithm_is_valid_but_not_homogeneous():

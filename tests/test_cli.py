@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import sys
@@ -24,6 +25,33 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+# every check of each suite; sym_real(2) with w1 runs the conditional ones too
+# (homogeneity, the rank-2 quadrature and the rank >= 2 Delta_s checks)
+SUITE_CHECKS = {
+    "algebra-axioms": {
+        "commutativity", "dimension_identity", "form_associativity", "inverse_involution",
+        "jordan_identity", "neutrality", "spectral_reconstruction",
+    },
+    "peirce": {
+        "constant_power_det", "cross_norm_identity", "multiplication_table", "projection_completeness",
+        "square_identity",
+    },
+    "triangular": {"box_nilpotency", "frobenius_unit_power", "power_cocycle", "roundtrip"},
+    "mult-alg": {
+        "cone_preservation", "ddet_law", "det_multiplicativity", "divide_roundtrip", "homogeneity", "neutrality",
+    },
+    "distributions": {
+        "domain_membership", "draws_in_cone", "identity_not_in_domain", "quadrature_mass", "quadrature_spot",
+        "wishart_equals_riesz", "wishart_mean",
+    },
+    "functional-eq": {
+        "delta_s_not_k_invariant", "delta_s_vs_quadratic", "delta_s_vs_triangular", "logdet_det_functional",
+        "logdet_k_invariant", "logdet_residual", "pexider_recovery",
+    },
+    "lukacs": {"bijection", "factorization", "factorization_mismatch", "independence_p", "jacobian"},
+}
 
 
 def test_run_all_suites_pass(tmp_path, capsys):
@@ -52,6 +80,7 @@ def test_run_all_suites_pass(tmp_path, capsys):
         report = json.loads((reports / f"{name}.json").read_text())
         assert report["passed"] is True
         assert report["seed"] == 42
+        assert set(report["checks"]) == SUITE_CHECKS[name], name
 
 
 def test_run_reports_are_byte_identical(tmp_path):
@@ -176,6 +205,20 @@ def test_missing_seed_is_usage_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"algebra": "sym_real(2)"}))
     assert cli.main(["run", str(path)]) == 2
+
+
+def test_seeds_beyond_32_bits_draw_their_own_streams_and_negative_seeds_are_usage_errors(tmp_path):
+    def draw(seed):
+        return cli._sub_rng(seed, "suite:lukacs").standard_normal(4)
+
+    assert not np.array_equal(draw(5), draw(5 + 2**32))
+    assert not np.array_equal(draw(2**32 - 1), draw(2**33 - 1))
+    # seeds below 2**32 seed their sequence with the same words as before, so their streams are kept
+    digest = hashlib.sha256(b"suite:lukacs").digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12)]
+    assert np.array_equal(draw(5), np.random.default_rng(np.random.SeedSequence([5] + words)).standard_normal(4))
+    assert cli.main(["run", str(write_config(tmp_path, seed=-1))]) == 2
+    assert cli.main(["run", str(write_config(tmp_path)), "--seed", "-1"]) == 2
 
 
 def test_missing_file_and_bad_json(tmp_path):

@@ -119,10 +119,31 @@ def test_jacobian_examples(rng):
 def test_jacobian_for_all_algorithms(a, rng):
     frame = alg.standard_frame(a)
     for w in (ma.w1(a), ma.w2(frame), ma.interp(0.25, frame)):
-        for _ in range(3):
-            v = alg.random_cone_element(a, rng, 0.4, 2.5)
-            analytic, numeric = lk.jacobian_check(v, w, 1e-5, rng=rng)
-            assert abs(analytic - numeric) / abs(analytic) < 1e-6
+        assert lk.jacobian_residual(w, 3, rng, 0.4, 2.5) < 1e-6
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(2), alg.herm_complex(2), alg.lorentz(3)], ids=lambda a: a.name)
+def test_jacobian_residual_is_the_worst_point_of_the_jacobian_check_loop(a):
+    """Under one seed: the max over n points of v, then jacobian_check, and the same generator state after."""
+    w = ma.w2(alg.standard_frame(a))
+    rng_loop, rng_fn = np.random.default_rng(17), np.random.default_rng(17)
+    errors = []
+    for _ in range(4):
+        v = alg.random_cone_element(a, rng_loop, 0.3, 3.0)
+        analytic, numeric = lk.jacobian_check(v, w, 1e-5, rng=rng_loop)
+        errors.append(abs(analytic - numeric) / abs(analytic))
+    assert lk.jacobian_residual(w, 4, rng_fn, 0.3, 3.0) == max(errors)
+    assert rng_fn.bit_generator.state == rng_loop.bit_generator.state
+    assert lk.jacobian_residual(w, 0, rng_fn, 0.3, 3.0) == 0.0
+
+
+@pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
+def test_bijection_residual_and_its_domain_error(a, rng):
+    x, y = fe.draw_cone_pairs(a, 40, rng)
+    for w in (ma.w1(a), ma.w2(alg.standard_frame(a))):
+        assert lk.bijection_residual(w, x, y) <= 1e-10
+        with pytest.raises(DomainError):
+            lk.bijection_residual(w, x, -0.5 * x)  # u = g(x / 2) x = 2 e leaves D
 
 
 @pytest.mark.parametrize("a", [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4)], ids=lambda a: a.name)
