@@ -21,8 +21,8 @@ Two kernels keep that traffic small:
   reduction of the full sum.  The identity permutation goes through the
   same folded sum, so the ranking stays exact.
   The permutations are scored on a
-  thread pool that lives for one call, with one worker per usable CPU
-  (capped by ``CONELAB_THREADS`` when it is set; one worker runs inline).
+  thread pool that lives for one call, with one worker per CPU the process
+  may run on (one worker runs inline).
   Gathers and reductions release the GIL.  ``einsum`` never calls BLAS,
   whose own threads would fight the pool's (``np.vdot`` is OpenBLAS
   ``ddot``, threaded above about 10 000 elements), and one worker computes a
@@ -152,30 +152,12 @@ _DCOR_ROW_BAND = 64
 _DCOR_PERM_BLOCK = 64
 
 
-def thread_cap():
-    """The ``CONELAB_THREADS`` cap, or None when it is unset.
-
-    Raises ValidationError when the variable is set to anything but an integer >= 1.
-    """
-    value = os.environ.get("CONELAB_THREADS")
-    if not value:
-        return None
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValidationError(f"CONELAB_THREADS must be an integer >= 1, got {value!r}")
-    return cap
-
-
 def _pool_workers() -> int:
-    """One worker per usable CPU, capped by ``CONELAB_THREADS``."""
+    """One worker per CPU in the process's affinity set."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, thread_cap() or cpus)
+        return os.cpu_count() or 1
 
 
 def _fold_upper_bands(a: np.ndarray) -> list:

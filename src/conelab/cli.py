@@ -11,15 +11,7 @@ thresholds, 2 unusable configuration.  Reports depend only on (config, seed):
 suites run sequentially and every random draw flows from the config seed, so
 identical configs produce byte-identical report files.  The seed is an
 integer >= 0.  The suites compare with their thresholds the residuals of the
-library functions that own the identities; the ``peirce`` suite's
-``constant_power_det`` is still computed here.
-
-The environment variable CONELAB_THREADS, an integer >= 1, caps the workers
-of the permutation pool, and for the length of ``conelab run`` the BLAS
-thread pool: through threadpoolctl when it is installed, else through the
-thread-count calls of the OpenBLAS that numpy loaded, and the count before
-the run is restored after it.  When neither is found, the BLAS cap is not
-applied and a warning says so.  Any other value is a usage error (exit 2).
+library functions that own the identities.
 """
 
 from __future__ import annotations
@@ -27,13 +19,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ._stats import thread_cap
 from .algebra import (
     AlgebraDescriptor,
     Element,
@@ -89,15 +79,8 @@ from .funceq import (
     zero_fn,
 )
 from .lukacs import bijection_residual, factorization_residual, independence_test, jacobian_residual
-from .peirce import (
-    PowerExponent,
-    batch_generalized_power_log,
-    peirce_identity_residuals,
-    peirce_projectors,
-)
-from .triangular import batch_triangular_decompose, triangular_identity_residuals
-
-logger = logging.getLogger("conelab")
+from .peirce import PowerExponent, peirce_identity_residuals, peirce_projectors
+from .triangular import constant_power_residual, triangular_identity_residuals
 
 SUITE_NAMES = (
     "algebra-axioms",
@@ -262,8 +245,6 @@ def suite_algebra_axioms(algebra, algorithm, rng, n, tol):
     # the spectral calculus on a smaller sample
     for name, value in spectral_residuals(algebra, min(n, 200), rng).items():
         checks[name] = _check(value, 1e-9)
-    dim_expected = algebra.rank + algebra.peirce_d * algebra.rank * (algebra.rank - 1) // 2
-    checks["dimension_identity"] = _check(abs(algebra.dim - dim_expected), 0.0)
     return checks
 
 
@@ -276,15 +257,7 @@ def suite_peirce(algebra, algorithm, rng, n, tol):
     checks["projection_completeness"] = _check(norm(total - x) / norm(x), 1e-12)
     for name, value in peirce_identity_residuals(frame, n, rng).items():
         checks[name] = _check(value, tol["peirce_identity"])
-    # generalized power: Delta_(p,..,p) = det^p, as the relative error of the powers;
-    # log Delta_s is linear in s, so p log Delta_(1,..,1) is log Delta_(p,..,p).  The two
-    # sides are computed apart: the minors from eigenvalues, det as prod alpha_k of t_v
-    m = min(n, 50)
-    v = random_cone_points(algebra, m, rng, 0.2, 5.0)
-    p = rng.uniform(-2.0, 2.0, m)
-    log_delta = batch_generalized_power_log(frame, v, np.ones(algebra.rank))
-    log_det = np.sum(np.log(batch_triangular_decompose(v, frame).diagonal), axis=1)
-    checks["constant_power_det"] = _check(np.max(np.abs(np.expm1(p * (log_delta - log_det)))), 1e-10)
+    checks["constant_power_det"] = _check(constant_power_residual(frame, min(n, 50), rng), 1e-10)
     return checks
 
 
@@ -458,51 +431,6 @@ SUITES = {
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-def _openblas_thread_calls():
-    """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None if unknown."""
-    import ctypes
-    import glob
-
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(glob.glob(str(libs / "libscipy_openblas*.so"))):
-        lib = ctypes.CDLL(path)  # the handle of the copy numpy already loaded
-        for suffix in ("64_", ""):  # the ILP64 and LP64 builds
-            get, set_ = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def _thread_limit():
-    """Cap BLAS at CONELAB_THREADS for one command; returns the call that restores it, or None.
-
-    The permutation pool reads the variable itself, in ``_stats``.
-    """
-    limit = thread_cap()
-    if limit is None:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # threadpoolctl is optional
-        pass
-    else:
-        return threadpool_limits(limits=limit).unregister
-    calls = _openblas_thread_calls()
-    if calls is None:
-        logger.warning(
-            "CONELAB_THREADS=%d caps the permutation pool, but the BLAS cap was not applied: "
-            "threadpoolctl is not installed and numpy's OpenBLAS was not found",
-            limit,
-        )
-        return None
-    get, set_ = calls
-    previous = get()
-    set_(limit)
-    return lambda: set_(previous)
 
 
 def cmd_run(cfg: dict, out_dir: Path) -> int:
@@ -730,16 +658,11 @@ def main(argv=None) -> int:
         if getattr(args, "suite", None):
             cfg["suites"] = args.suite
         out_dir = Path(args.out or cfg.get("out_dir", "reports"))
-        restore_threads = _thread_limit()
-        try:
-            if args.command == "run":
-                return cmd_run(cfg, out_dir)
-            if args.command == "decompose":
-                return cmd_decompose(cfg, out_dir)
-            return cmd_sample(cfg, out_dir)
-        finally:
-            if restore_threads is not None:
-                restore_threads()
+        if args.command == "run":
+            return cmd_run(cfg, out_dir)
+        if args.command == "decompose":
+            return cmd_decompose(cfg, out_dir)
+        return cmd_sample(cfg, out_dir)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,6 +144,22 @@ def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> di
     return {key: float(np.max(values, initial=0.0)) for key, values in found.items()}
 
 
+def constant_power_residual(frame, n: int, rng: np.random.Generator) -> float:
+    """Largest relative error of Delta_(p,..,p)(v) = (det v)^p over n random v and p in [-2, 2].
+
+    log Delta_s is linear in s, so p log Delta_(1,..,1) is log Delta_(p,..,p).
+    The two sides are computed apart: the minors from eigenvalues
+    (:func:`~conelab.peirce.batch_generalized_power_log`), det as the product
+    of the alpha_k of t_v (:func:`batch_triangular_decompose`).
+    """
+    v = random_cone_points(frame.algebra, n, rng, 0.2, 5.0)
+    p = rng.uniform(-2.0, 2.0, n)
+    log_delta = batch_generalized_power_log(frame, v, np.ones(len(frame)))
+    log_det = np.sum(np.log(batch_triangular_decompose(v, frame).diagonal), axis=1)
+    # np.max keeps a NaN, so it fails the gate
+    return float(np.max(np.abs(np.expm1(p * (log_delta - log_det))), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # the triangular group on coordinate batches
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; each test also asserts its thresholds so the suite fails loudly.
+Worst values are reduced with ``np.max`` / ``np.min``, which keep a NaN, so a
+NaN residual fails its gate (the built-in ``max(0.0, nan)`` is 0.0).
 """
 
 import json
@@ -45,11 +47,12 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_algebra_axioms():
     start = time.time()
-    worst = 0.0
+    values = []
     for a in AXIOM_ALGEBRAS:
         rng = np.random.default_rng(101)
         residuals = alg.axiom_residuals(a, 10_000, rng) | alg.spectral_residuals(a, 200, rng)
-        worst = max(worst, max(residuals.values()))
+        values.extend(residuals.values())
+    worst = np.max(values)
     elapsed = time.time() - start
     ok = worst <= 1e-10 and elapsed <= 30.0
     verdict(
@@ -61,13 +64,11 @@ def test_criterion_01_algebra_axioms():
 
 
 def test_criterion_02_dimension_and_peirce_identities():
+    # every supported descriptor; AlgebraDescriptor raises ValidationError on a wrong dim
     every = (
         [alg.sym_real(r) for r in range(1, 9)]
         + [alg.herm_complex(r) for r in range(1, 7)]
         + [alg.lorentz(n) for n in range(2, 17)]
-    )
-    dim_exact = all(
-        a.dim == a.rank + a.peirce_d * a.rank * (a.rank - 1) // 2 for a in every
     )
     rng = np.random.default_rng(202)
     per_algebra = 1000 // len(CORE_ALGEBRAS) + 1
@@ -75,14 +76,14 @@ def test_criterion_02_dimension_and_peirce_identities():
         peirce.peirce_identity_residuals(alg.standard_frame(a), per_algebra, rng)
         for a in CORE_ALGEBRAS
     ]
-    sq_worst = max(r["square_identity"] for r in residuals)
-    cross_worst = max(r["cross_norm_identity"] for r in residuals)
+    sq_worst = np.max([r["square_identity"] for r in residuals])
+    cross_worst = np.max([r["cross_norm_identity"] for r in residuals])
     samples = per_algebra * len(CORE_ALGEBRAS)
-    ok = dim_exact and sq_worst <= 1e-10 and cross_worst <= 1e-10
+    ok = sq_worst <= 1e-10 and cross_worst <= 1e-10
     verdict(
         2,
         ok,
-        f"dim identity exact on {len(every)} descriptors; Peirce square/cross "
+        f"{len(every)} descriptors built; Peirce square/cross "
         f"identities on {samples} samples: {sq_worst:.3e}, {cross_worst:.3e} (<=1e-10)",
     )
 
@@ -95,7 +96,7 @@ def test_criterion_03_triangular_roundtrip_and_power_identities():
         for a in CORE_ALGEBRAS
     ]
     roundtrip, cocycle, tau_unit = (
-        max(r[key] for r in residuals)
+        np.max([r[key] for r in residuals])
         for key in ("roundtrip", "power_cocycle", "frobenius_unit_power")
     )
     ok = roundtrip <= 1e-9 and cocycle <= 1e-9 and tau_unit <= 1e-9
@@ -110,18 +111,18 @@ def test_criterion_03_triangular_roundtrip_and_power_identities():
 def test_criterion_04_endomorphism_determinant_and_jacobian():
     start = time.time()
     rng = np.random.default_rng(404)
-    ddet_worst = 0.0
+    ddet = []
     for a in CORE_ALGEBRAS:
         frame = alg.standard_frame(a)
         for w in (ma.w1(a), ma.w2(frame), ma.interp(0.25, frame)):
-            ddet_worst = max(ddet_worst, ma.check_algorithm(w, 30, rng).ddet_rel)
-    jac_worst = 0.0
-    points = 0
+            ddet.append(ma.check_algorithm(w, 30, rng).ddet_rel)
+    jac = []
     for a in (alg.sym_real(2), alg.lorentz(3), alg.herm_complex(2)):
         frame = alg.standard_frame(a)
         for w in (ma.w1(a), ma.w2(frame), ma.interp(0.25, frame)):
-            jac_worst = max(jac_worst, lk.jacobian_residual(w, 17, rng, 0.4, 2.5))
-            points += 17
+            jac.append(lk.jacobian_residual(w, 17, rng, 0.4, 2.5))
+    ddet_worst, jac_worst = np.max(ddet), np.max(jac)
+    points = 17 * len(jac)
     elapsed = time.time() - start
     ok = ddet_worst <= 1e-8 and jac_worst <= 1e-6 and elapsed <= 120.0 and points >= 100
     verdict(
@@ -134,19 +135,20 @@ def test_criterion_04_endomorphism_determinant_and_jacobian():
 
 def test_criterion_05_logarithmic_cauchy_dichotomy():
     rng = np.random.default_rng(505)
-    solution_worst = 0.0
-    counter_best = np.inf
+    solutions = []
+    counters = []
     for a in (alg.sym_real(2), alg.herm_complex(2), alg.lorentz(4)):
         frame = alg.standard_frame(a)
         pairs = fe.draw_cone_pairs(a, 150, rng)
         f_det = fe.log_det_power(0.8, a)
         k = alg.random_automorphism_k(a, rng)
         for w in (ma.w1(a), ma.w2(frame), ma.interp(0.25, frame), ma.k_extended(ma.w1(a), k)):
-            solution_worst = max(solution_worst, fe.wlog_residual(f_det, w, pairs))
+            solutions.append(fe.wlog_residual(f_det, w, pairs))
         svec = np.linspace(2.0, 1.0, a.rank)
         f_s = fe.delta_s_log(svec, frame)
-        solution_worst = max(solution_worst, fe.wlog_residual(f_s, ma.w2(frame), pairs))
-        counter_best = min(counter_best, fe.wlog_residual(f_s, ma.w1(a), pairs))
+        solutions.append(fe.wlog_residual(f_s, ma.w2(frame), pairs))
+        counters.append(fe.wlog_residual(f_s, ma.w1(a), pairs))
+    solution_worst, counter_best = np.max(solutions), np.min(counters)
     ok = solution_worst <= 1e-9 and counter_best > 0.01
     verdict(
         5,

@@ -18,6 +18,14 @@ def test_descriptor_dimension_identity():
         assert a.dim == a.rank + a.peirce_d * a.rank * (a.rank - 1) // 2
 
 
+def test_descriptor_rejects_a_wrong_dim():
+    """The dimension identity is enforced where a descriptor is built."""
+    assert alg.AlgebraDescriptor("sym_real", 2, 1, 3) == alg.sym_real(2)
+    for kind, rank, d, dim in (("sym_real", 2, 1, 4), ("herm_complex", 3, 2, 8), ("lorentz", 2, 3, 6)):
+        with pytest.raises(ValidationError, match="inconsistent"):
+            alg.AlgebraDescriptor(kind, rank, d, dim)
+
+
 def test_descriptor_limits():
     with pytest.raises(ValidationError):
         alg.sym_real(9)

@@ -4,7 +4,9 @@ Each case runs in a fresh interpreter, since this process has scipy loaded
 already (the tests use it as a reference).  ``import conelab``, ``conelab
 sample``, ``conelab decompose`` and ``conelab run`` of every suite, the
 permutation tests, cone Gamma functions and the quadrature check included,
-leave no scipy module in ``sys.modules``.
+leave no scipy module in ``sys.modules``.  A child pinned to one CPU before
+it imports numpy sizes the permutation pool to one worker and writes the
+same bytes as an unpinned child.
 """
 
 import json
@@ -30,17 +32,20 @@ print(json.dumps([status, sorted(m for m in sys.modules if m == "scipy" or m.sta
 """
 
 
-def fresh_run(*argv):
-    """(exit status, scipy modules) of a fresh interpreter running ``conelab *argv``."""
+def fresh_python(code, *argv):
+    """The last line of stdout, as JSON, of a fresh interpreter running ``code`` with ``argv``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    env.pop("CONELAB_THREADS", None)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    status, modules = json.loads(done.stdout.strip().splitlines()[-1])
-    return status, modules
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def fresh_run(*argv):
+    """(exit status, scipy modules) of a fresh interpreter running ``conelab *argv``."""
+    return tuple(fresh_python(PROBE, *argv))
 
 
 def config(tmp_path, **fields):
@@ -81,3 +86,41 @@ def test_every_suite_runs_without_scipy(tmp_path):
     assert fresh_run("run", cfg) == (0, [])
     reports = {path.stem for path in (tmp_path / "out").glob("*.json")}
     assert set(cli.SUITE_NAMES) <= reports
+
+
+# pin to one CPU ("pinned") before numpy is imported, so its BLAS starts one
+# thread too; print the pool's worker count and the exit status of each
+# ``cli.main(argv)`` of the JSON list argv[2]
+PINNED_PROBE = """
+import json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import conelab.cli
+from conelab import _stats
+print(json.dumps([_stats._pool_workers(), [conelab.cli.main(argv) for argv in json.loads(sys.argv[2])]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+def test_one_cpu_gives_one_pool_worker_and_the_same_bytes(tmp_path):
+    configs = {
+        "run": {"suites": ["algebra-axioms", "lukacs"], "samples": {"algebra-axioms": 200, "lukacs": 400}},
+        "sample": {"n": 200, "distribution": {"type": "riesz", "s": [2.0, 1.5], "a": "e"}},
+        "decompose": {"oracle": {"family": "zero", "grid": {"n_points": 200, "seed": 3}}},
+    }
+    paths = {}
+    for command, fields in configs.items():
+        paths[command] = tmp_path / f"{command}.json"
+        paths[command].write_text(json.dumps({"seed": 3, "algebra": "sym_real(2)", "algorithm": "w1", **fields}))
+    outputs = {}
+    for mode in ("pinned", "unpinned"):
+        argvs = [[command, str(path), "--out", str(tmp_path / mode)] for command, path in paths.items()]
+        workers, statuses = fresh_python(PINNED_PROBE, mode, json.dumps(argvs))
+        assert statuses == [0, 0, 0]
+        if mode == "pinned":
+            assert workers == 1
+        outputs[mode] = {path.name: path.read_bytes() for path in sorted((tmp_path / mode).iterdir())}
+    assert set(outputs["pinned"]) == {
+        "algebra-axioms.json", "lukacs.json", "summary.json", "draws.csv", "decomposition.json",
+    }
+    assert outputs["pinned"] == outputs["unpinned"]

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -376,26 +377,11 @@ def test_dcor_with_one_worker_builds_no_pool(monkeypatch):
     pooled_dcor_test(monkeypatch, 1, (x, x[::-1]), 9, 70)
 
 
-def test_pool_workers_follow_the_cpu_count_and_the_thread_cap(monkeypatch):
-    monkeypatch.delenv("CONELAB_THREADS", raising=False)
-    cpus = _stats._pool_workers()
-    assert cpus >= 1
-    monkeypatch.setenv("CONELAB_THREADS", "1")
-    assert _stats._pool_workers() == 1
-    monkeypatch.setenv("CONELAB_THREADS", str(cpus + 5))  # a cap above the CPU count
-    assert _stats._pool_workers() == cpus
-    for bad in ("many", "0", "-1"):
-        monkeypatch.setenv("CONELAB_THREADS", bad)
-        with pytest.raises(ValueError):
-            _stats._pool_workers()
-
-
-@pytest.mark.parametrize("value", ["many", "0", "-1"])
-def test_bad_thread_cap_raises_a_validation_error_naming_the_variable(monkeypatch, value):
-    monkeypatch.setenv("CONELAB_THREADS", value)
-    x = np.random.default_rng(2).standard_normal((20, 2))
-    with pytest.raises(ValidationError, match="CONELAB_THREADS"):
-        _stats.dcor_permutation_test(x, x, 9, np.random.default_rng(0))
+def test_pool_workers_are_the_affinity_count():
+    if hasattr(os, "sched_getaffinity"):
+        assert _stats._pool_workers() == len(os.sched_getaffinity(0))
+    else:
+        assert _stats._pool_workers() == (os.cpu_count() or 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

@@ -338,3 +338,22 @@ def test_suite_triangular_flags_a_broken_ingredient(monkeypatch, owner, name, br
     checks = cli.suite_triangular(alg.sym_real(3), None, rng, 20, cli.DEFAULT_TOLERANCES)
     failed = {key for key, check in checks.items() if not check["passed"]}
     assert (failed == set()) if failing is None else (failing in failed)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1), alg.sym_real(8), alg.herm_complex(6)], ids=lambda a: a.name)
+def test_constant_power_residual(a):
+    """Delta_(p,..,p) = det^p at round-off, on no samples 0.0."""
+    frame = alg.standard_frame(a)
+    assert tri.constant_power_residual(frame, 50, np.random.default_rng(7)) <= 1e-10
+    assert tri.constant_power_residual(frame, 0, np.random.default_rng(7)) == 0.0
+
+
+def test_constant_power_residual_keeps_a_nan(monkeypatch):
+    def nan_minors(frame, coords, s):
+        return np.full(len(coords), np.nan)
+
+    monkeypatch.setattr(tri, "batch_generalized_power_log", nan_minors)
+    frame = alg.standard_frame(alg.sym_real(3))
+    assert np.isnan(tri.constant_power_residual(frame, 20, np.random.default_rng(7)))
+    checks = cli.suite_peirce(frame.algebra, None, np.random.default_rng(5), 20, cli.DEFAULT_TOLERANCES)
+    assert not checks["constant_power_det"]["passed"]
