@@ -6,6 +6,7 @@ Worst values are reduced with ``np.max`` / ``np.min``, which keep a NaN, so a
 NaN residual fails its gate (the built-in ``max(0.0, nan)`` is 0.0).
 """
 
+import dataclasses
 import json
 import time
 
@@ -156,6 +157,85 @@ def test_criterion_05_logarithmic_cauchy_dichotomy():
         f"log-det/minor-power solutions residual {solution_worst:.3e} (<=1e-9); "
         f"mismatched pairing residual {counter_best:.3e} (>0.01)",
     )
+
+
+NAN = float("nan")
+
+
+def _nan_on_the_last_algebra(owner, name, key, *others):
+    """A patch of owner.name: key reads NaN on the last of CORE_ALGEBRAS, every other residual 0.
+
+    On the first one a NaN would survive even the built-in max.
+    """
+
+    def residuals(frame, *args):
+        return {key: NAN if frame.algebra == CORE_ALGEBRAS[-1] else 0.0} | dict.fromkeys(others, 0.0)
+
+    return lambda mp: mp.setattr(owner, name, residuals)
+
+
+def _nan_ddet(monkeypatch):
+    check = ma.check_algorithm
+    monkeypatch.setattr(ma, "check_algorithm", lambda *args: dataclasses.replace(check(*args), ddet_rel=NAN))
+
+
+def _nan_wlog(monkeypatch, counter):
+    """NaN from wlog_residual on the mismatched pairing (counter) or on w2's solutions."""
+    minor_powers = []
+    delta_s_log, wlog_residual = fe.delta_s_log, fe.wlog_residual
+
+    def recorded(*args):
+        minor_powers.append(delta_s_log(*args))
+        return minor_powers[-1]
+
+    def residual(f, w, pairs):
+        if counter:
+            hit = w.kind == "w1" and any(f is g for g in minor_powers)
+        else:
+            hit = w.kind == "w2"
+        return NAN if hit else wlog_residual(f, w, pairs)
+
+    monkeypatch.setattr(fe, "delta_s_log", recorded)
+    monkeypatch.setattr(fe, "wlog_residual", residual)
+
+
+# (criterion number, its test, a patch that makes one of its residuals NaN)
+NAN_RESIDUALS = {
+    "axioms": (
+        1,
+        test_criterion_01_algebra_axioms,
+        lambda mp: mp.setattr(alg, "axiom_residuals", lambda *args: {"jordan_identity": NAN}),
+    ),
+    "peirce": (
+        2,
+        test_criterion_02_dimension_and_peirce_identities,
+        _nan_on_the_last_algebra(peirce, "peirce_identity_residuals", "square_identity", "cross_norm_identity"),
+    ),
+    "triangular": (
+        3,
+        test_criterion_03_triangular_roundtrip_and_power_identities,
+        _nan_on_the_last_algebra(
+            tri, "triangular_identity_residuals", "power_cocycle", "roundtrip", "frobenius_unit_power"
+        ),
+    ),
+    "ddet": (4, test_criterion_04_endomorphism_determinant_and_jacobian, _nan_ddet),
+    "jacobian": (
+        4,
+        test_criterion_04_endomorphism_determinant_and_jacobian,
+        lambda mp: mp.setattr(lk, "jacobian_residual", lambda *args: NAN),
+    ),
+    "wlog-solution": (5, test_criterion_05_logarithmic_cauchy_dichotomy, lambda mp: _nan_wlog(mp, False)),
+    "wlog-counter": (5, test_criterion_05_logarithmic_cauchy_dichotomy, lambda mp: _nan_wlog(mp, True)),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_RESIDUALS))
+def test_a_nan_residual_fails_its_criterion(monkeypatch, case):
+    """np.max / np.min keep a NaN, where max(0.0, nan) and min(inf, nan) would drop it."""
+    number, criterion, make_nan = NAN_RESIDUALS[case]
+    make_nan(monkeypatch)
+    with pytest.raises(AssertionError, match=rf"criterion {number}: .*nan"):
+        criterion()
 
 
 def test_criterion_06_olkin_baker_recovery():

@@ -92,6 +92,31 @@ def test_run_reports_are_byte_identical(tmp_path):
         assert b1 == b2
 
 
+# per command: config overrides, and the files it writes
+COMMANDS = {
+    "run": (
+        {"suites": ["algebra-axioms", "lukacs"], "samples": {"algebra-axioms": 200, "lukacs": 400}},
+        ["algebra-axioms.json", "lukacs.json", "summary.json"],
+    ),
+    "sample": ({"n": 200, "distribution": {"type": "riesz", "s": [2.0, 1.5], "a": "e"}}, ["draws.csv"]),
+    "decompose": ({"oracle": {"family": "zero", "grid": {"n_points": 200, "seed": 3}}}, ["decomposition.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_conelab_threads_is_no_longer_read(tmp_path, monkeypatch, command):
+    """A CONELAB_THREADS value that was once a usage error changes neither the status nor the bytes."""
+    overrides, outputs = COMMANDS[command]
+    monkeypatch.delenv("CONELAB_THREADS", raising=False)
+    for run, value in (("r1", None), ("r2", "many")):
+        if value is not None:
+            monkeypatch.setenv("CONELAB_THREADS", value)
+        cfg = write_config(tmp_path, name=f"{run}.json", out_dir=str(tmp_path / run), **overrides)
+        assert cli.main([command, str(cfg)]) == 0
+    for name in outputs:
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
 def test_unknown_suite_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     status = cli.main(["run", str(cfg), "--suite", "foo"])

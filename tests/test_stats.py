@@ -384,6 +384,13 @@ def test_pool_workers_are_the_affinity_count():
         assert _stats._pool_workers() == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_workers_without_an_affinity_call_are_the_cpu_count(monkeypatch, cpus, workers):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)  # None: the count is unknown
+    assert _stats._pool_workers() == workers
+
+
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(m=st.integers(min_value=1, max_value=3 * ROW_BAND), seed=st.integers(0, 2**32 - 1))
 @example(m=ROW_BAND - 1, seed=0)
