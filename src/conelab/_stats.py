@@ -11,18 +11,28 @@ Two kernels keep that traffic small:
 * distance correlation (Szekely, Rizzo & Bakirov 2007): the two distance
   variances do not change under a permutation of one sample, so a permuted
   statistic exceeds the observed one exactly when its distance covariance
-  ``sum(a * b[p][:, p])`` does.  The permuted matrix is gathered a band of
-  rows at a time and each band is reduced with ``einsum``, so no ``m x m``
-  temporary is built per permutation.  Both matrices are symmetric (up to
-  the rounding of the centring), so once the observed statistic is computed
-  ``a`` is kept as its bands right of the diagonal, with the blocks right
-  of each diagonal block doubled (exact in floating point), and band ``lo``
-  gathers only the columns ``p[lo:]``: half the gather and half the
-  reduction of the full sum.  The identity permutation goes through the
-  same folded sum, so the ranking stays exact.
-  The permutations are scored on a
-  thread pool that lives for one call, with one worker per CPU the process
-  may run on (one worker runs inline).
+  ``sum(a * b[p][:, p])`` does.  The distance matrices are centred in place.
+  Both are symmetric (up to the rounding of the centring), so once the
+  observed statistic is computed ``a`` is kept as its bands right of the
+  diagonal, with the blocks right of each diagonal block doubled (exact in
+  floating point), and band ``lo`` gathers only the columns ``p[lo:]``: half
+  the gather and half the reduction of the full sum.  A band has
+  ``max(64, ceil(m / 4))`` rows, so a permutation costs about a dozen numpy
+  calls.  Each band is gathered into per-worker scratch buffers and reduced
+  row by row with ``einsum``, and the row sums are added in float64, so no
+  ``m x m`` temporary is built per permutation.
+  Every permutation is scored first from float32 copies of the bands and of
+  ``b``, each scaled by a power of two so that its largest entry lies in
+  [0.5, 1).  This halves the memory the gather moves.  A bound on the
+  rounding of both paths (`_float32_margin`, from Cauchy-Schwarz) decides
+  every permutation whose float32 covariance lies farther than it from the
+  observed one; the others, ties among them, are scored again in float64 on
+  the same bands, as the observed covariance is.  So the ranking is that of
+  the float64 covariances, and a permutation that leaves the statistic
+  unchanged always ties.  Scales beyond 2^+-900 or entries that are not
+  finite leave the test to the float64 path alone.
+  The permutations are scored on a thread pool that lives for one call, with
+  one worker per CPU the process may run on (one worker runs inline).
   Gathers and reductions release the GIL.  ``einsum`` never calls BLAS,
   whose own threads would fight the pool's (``np.vdot`` is OpenBLAS
   ``ddot``, threaded above about 10 000 elements), and one worker computes a
@@ -54,7 +64,9 @@ numpy alone.
 
 from __future__ import annotations
 
+import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -116,9 +128,19 @@ def distance_matrix(x: np.ndarray, y=None, out=None) -> np.ndarray:
 
 
 def double_center(dist: np.ndarray) -> np.ndarray:
+    """Double-centre ``dist`` in place and return it.
+
+    The row, column and grand means are taken first and subtracted in the
+    order of ``dist - row - col + mean``, so the result has the same bits as
+    that expression without its two temporaries.
+    """
     row = dist.mean(axis=0, keepdims=True)
     col = dist.mean(axis=1, keepdims=True)
-    return dist - row - col + dist.mean()
+    mean = dist.mean()
+    dist -= row
+    dist -= col
+    dist += mean
+    return dist
 
 
 def centered_distance_matrices(x: np.ndarray, y: np.ndarray):
@@ -127,9 +149,10 @@ def centered_distance_matrices(x: np.ndarray, y: np.ndarray):
 
 def dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
     n2 = a.shape[0] ** 2
-    cov_xy = (a * b).sum() / n2
-    var_x = (a * a).sum() / n2
-    var_y = (b * b).sum() / n2
+    product = np.multiply(a, b)  # one buffer for the three products
+    cov_xy = product.sum() / n2
+    var_x = np.multiply(a, a, out=product).sum() / n2
+    var_y = np.multiply(b, b, out=product).sum() / n2
     denom = np.sqrt(var_x * var_y)
     if denom <= 0:
         return 0.0
@@ -142,14 +165,24 @@ def subsample_rows(n: int, max_points: int, rng: np.random.Generator) -> np.ndar
     return np.sort(rng.permutation(n)[:max_points])
 
 
-# Rows of the permuted distance matrix gathered per step of the dcor kernel;
-# a 64-row band of a 1024-point matrix (512 kB) stays in cache.  Narrower
-# bands cost more Python steps per permutation, which the pool's threads
-# then wait on (32 rows was 1.8x slower at 600 points on 2 threads).
-_DCOR_ROW_BAND = 64
 # Permutations drawn and handed to the pool at a time (64 x 1024 indices is
 # 512 kB), so memory stays fixed whatever the permutation count.
 _DCOR_PERM_BLOCK = 64
+# The float32 screen is used only when the two scales' exponents add up to
+# less than this in magnitude: every float64 sum of the test then stays far
+# from overflow and its rounding far above the subnormal range.
+_SCREEN_EXPONENT = 900
+
+
+def _band_rows(m: int) -> int:
+    """Rows per band of the dcor kernel for an ``m``-point test: at least 64, at
+    most four bands.
+
+    Every band costs a few numpy calls, each of which hands the GIL over, so
+    narrow bands leave the pool's threads waiting on one another: with 64-row
+    bands two workers scored 600-point permutations no faster than one.
+    """
+    return max(64, -(-m // 4))
 
 
 def _pool_workers() -> int:
@@ -161,28 +194,111 @@ def _pool_workers() -> int:
 
 
 def _fold_upper_bands(a: np.ndarray) -> list:
-    """Contiguous copies of the bands ``a[lo:lo + _DCOR_ROW_BAND, lo:]``, the blocks
-    right of the diagonal block doubled.
+    """Contiguous copies of the bands ``a[lo:lo + rows, lo:]``, ``rows =
+    _band_rows(len(a))``, the blocks right of the diagonal block doubled.
 
-    For symmetric a and b, ``_permuted_covariance(bands, b, perm)`` then equals
-    ``sum(a * b[perm][:, perm])``.
+    For symmetric a and b, ``_permuted_covariance(bands, b, perm, ...)`` then
+    equals ``sum(a * b[perm][:, perm])``.
     """
+    rows = _band_rows(len(a))
     bands = []
-    for lo in range(0, len(a), _DCOR_ROW_BAND):
-        band = a[lo : lo + _DCOR_ROW_BAND, lo:].copy()
-        band[:, _DCOR_ROW_BAND:] *= 2.0
+    for lo in range(0, len(a), rows):
+        band = a[lo : lo + rows, lo:].copy()
+        band[:, rows:] *= 2.0
         bands.append(band)
     return bands
 
 
-def _permuted_covariance(a_bands: list, b: np.ndarray, perm: np.ndarray) -> float:
-    """The sums of ``a_bands[k] * b[perm[lo:hi]][:, perm[lo:]]``, in band order,
-    with ``lo = k * _DCOR_ROW_BAND``: band ``lo`` gathers only the columns ``perm[lo:]``."""
-    total = 0.0
-    for lo, band in zip(range(0, len(perm), _DCOR_ROW_BAND), a_bands):
-        rows = np.take(b, perm[lo : lo + _DCOR_ROW_BAND], axis=0)
-        total += float(np.einsum("ij,ij->", band, np.take(rows, perm[lo:], axis=1)))
-    return total
+def _scratch(m: int) -> tuple:
+    """One worker's buffers for `_permuted_covariance` of ``m`` points: the
+    gathered rows, the gathered columns and the row sums, sized for float64 and
+    viewed as either dtype."""
+    band = _band_rows(m) * m
+    return np.empty(band), np.empty(band), np.empty(m)
+
+
+def _permuted_covariance(bands: list, b: np.ndarray, perm: np.ndarray, scratch: tuple) -> float:
+    """The sum of ``bands[k] * b[perm[lo:hi]][:, perm[lo:]]`` over the bands of
+    `_fold_upper_bands`, with ``lo = k * _band_rows(m)``, in the dtype of ``b``
+    (float32 or float64).
+
+    Each band is reduced row by row with ``einsum``; the row sums are added in
+    float64.  The gathers are written into ``scratch`` (see `_scratch`), so a
+    permutation allocates nothing; ``mode="clip"`` keeps ``take`` from
+    buffering a copy of its output.
+    """
+    m = len(perm)
+    rows = _band_rows(m)
+    picked, window, sums = (buf.view(b.dtype) for buf in scratch)
+    sums = sums[:m]
+    for lo, band in zip(range(0, m, rows), bands):
+        height, width = band.shape
+        gathered = picked[: height * m].reshape(height, m)
+        np.take(b, perm[lo : lo + rows], axis=0, out=gathered, mode="clip")
+        cols = window[: height * width].reshape(height, width)
+        np.take(gathered, perm[lo:], axis=1, out=cols, mode="clip")
+        np.einsum("ij,ij->i", band, cols, out=sums[lo : lo + height])
+    return float(sums.sum(dtype=np.float64))
+
+
+def _float32_margin(m: int, norm_f: float, norm_b: float) -> float:
+    """Bound on |float32 score - float64 score| of one permutation, for folded
+    bands ``F`` and a matrix ``B`` scaled so that no entry exceeds 1 in magnitude;
+    ``norm_f`` and ``norm_b`` are their Frobenius norms.
+
+    Both scores are sums of at most m^2 products ``F_ij B_kl``, no ``B`` entry
+    taken twice, so by Cauchy-Schwarz the sum of their magnitudes is at most
+    ``norm_f * norm_b``.  The float32 score rounds each entry and product once
+    and adds at most m products per row, in any order (gamma_{m+4} + 3 u32);
+    the float64 row sums of both scores and the float64 score itself add at
+    most 2 m^2 u64.  The factor 1.02 covers the rounding of the norms and of
+    this bound (the norms are those of the float32 copies), and the last term
+    the float32 subnormals (at most 2^-147 per product at this scale).
+    """
+    u32, u64 = 2.0**-24, 2.0**-53  # the unit roundoffs
+    nu = (m + 4) * u32
+    relative = nu / (1.0 - nu) + 3.0 * u32 + 2.0 * m * m * u64
+    return 1.02 * relative * norm_f * norm_b + m * m * 2.0**-147
+
+
+def _scale_exponent(arrays: list):
+    """The ``e`` for which ``2**-e`` brings the largest |entry| of ``arrays`` into
+    [0.5, 1); None when that entry is 0, subnormal or not finite (a NaN
+    propagates through the maxima)."""
+    tops = [np.maximum(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays]
+    top = float(np.max(tops, initial=0.0))
+    if not (math.isfinite(top) and top >= np.finfo(np.float64).tiny):
+        return None
+    return math.frexp(top)[1]
+
+
+def _scaled_float32(x: np.ndarray, exponent: int) -> np.ndarray:
+    """``x * 2**-exponent`` rounded once to float32 (the scaling itself is exact)."""
+    copy = np.empty(x.shape, dtype=np.float32)
+    np.multiply(x, 2.0**-exponent, out=copy, casting="same_kind")
+    return copy
+
+
+def _frobenius_norm(arrays: list) -> float:
+    return math.sqrt(sum(float(np.einsum("ij,ij->", x, x, dtype=np.float64)) for x in arrays))
+
+
+def _float32_screen(bands: list, b: np.ndarray):
+    """Float32 copies of the folded bands and of b, each scaled by a power of two,
+    the margin and the exponent ``e`` of their scales' product; None when the
+    float64 path must score alone.
+
+    A float32 covariance of the copies, times ``2**e``, is within ``margin *
+    2**e`` of the float64 covariance of the same permutation.
+    """
+    exp_f = _scale_exponent(bands)
+    exp_b = _scale_exponent([b])
+    if exp_f is None or exp_b is None or abs(exp_f + exp_b) >= _SCREEN_EXPONENT:
+        return None
+    bands32 = [_scaled_float32(band, exp_f) for band in bands]
+    b32 = _scaled_float32(b, exp_b)
+    margin = _float32_margin(len(b), _frobenius_norm(bands32), _frobenius_norm([b32]))
+    return bands32, b32, margin, exp_f + exp_b
 
 
 def _permutation_blocks(m: int, n_perm: int, rng: np.random.Generator):
@@ -227,15 +343,33 @@ def dcor_permutation_test(
     observed = dcor_from_centered(a, b)
     m = a.shape[0]
     a = _fold_upper_bands(a)  # the full matrix is no longer needed
-
-    def covariance(perm):
-        # dcor clips a negative covariance to 0, so the ranking clips it too
-        return max(_permuted_covariance(a, b, perm), 0.0)
-
-    cov_obs = covariance(np.arange(m))
     workers = min(_pool_workers(), max(n_perm, 1))
-    scores = _map_blocks(covariance, _permutation_blocks(m, n_perm, rng), workers)
-    exceed = sum(score >= cov_obs for score in scores)
+    free = queue.SimpleQueue()  # one scratch per worker, allocated in this thread
+    for _ in range(workers):
+        free.put(_scratch(m))
+    scratch = free.get()
+    # dcor clips a negative covariance to 0, so the ranking clips it too
+    cov_obs = max(_permuted_covariance(a, b, np.arange(m), scratch), 0.0)
+    free.put(scratch)
+    screen = _float32_screen(a, b) if math.isfinite(cov_obs) else None
+    if screen is not None:
+        bands32, b32, margin, exponent = screen
+        scaled_obs = math.ldexp(cov_obs, -exponent)
+
+    def exceeds(perm):
+        scratch = free.get()
+        try:
+            # a float32 covariance (clipped, as the ranking clips) farther than the
+            # margin from the observed one ranks as its float64 covariance does
+            if screen is not None:
+                gap = max(_permuted_covariance(bands32, b32, perm, scratch), 0.0) - scaled_obs
+                if abs(gap) > margin:
+                    return gap > 0.0
+            return max(_permuted_covariance(a, b, perm, scratch), 0.0) >= cov_obs
+        finally:
+            free.put(scratch)
+
+    exceed = sum(_map_blocks(exceeds, _permutation_blocks(m, n_perm, rng), workers))
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(m)
 

@@ -354,6 +354,14 @@ def test_points_index_slice_and_iteration(a, rng):
     assert not isinstance(rows, (list, tuple))  # Elements are built as they are read
     assert isinstance(next(rows), alg.Element)
     assert np.array_equal(np.array([x.coords for x in batch]), batch.coords)
+    for x, row in zip(batch, batch.coords):
+        # each Element is the constructor's, its row read-only
+        built = alg.Element(a, row)
+        assert type(x) is alg.Element and x.algebra == a
+        assert x.coords.shape == (a.dim,) and x.coords.dtype == float
+        assert not x.coords.flags.writeable
+        assert np.array_equal(x.coords, built.coords)
+        assert np.array_equal((x + x * 2.0).coords, (built + built * 2.0).coords)
     empty = alg.Points(a, np.empty((0, a.dim)))
     assert len(empty) == 0 and list(empty) == []
 

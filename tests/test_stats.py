@@ -1,10 +1,11 @@
+import math
 import os
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 from scipy.spatial.distance import cdist  # the reference distances
 
 from conelab import _stats
@@ -218,6 +219,67 @@ def test_dcor_kernel_matches_reference(seed, n, max_points):
     )
 
 
+def banded_float64_dcor_permutation_test(x, y, n_perm, rng, max_points=1280):
+    """The kernel that scored every permutation in float64 on 64-row bands of the
+    folded a, each band reduced to one sum, the bands added in order."""
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    keep = _stats.subsample_rows(len(x), max_points, rng)
+    a, b = _stats.centered_distance_matrices(x[keep], y[keep])
+    observed = _stats.dcor_from_centered(a, b)
+    m = a.shape[0]
+    bands = []
+    for lo in range(0, m, 64):
+        band = a[lo : lo + 64, lo:].copy()
+        band[:, 64:] *= 2.0
+        bands.append(band)
+
+    def covariance(perm):
+        total = 0.0
+        for lo, band in zip(range(0, m, 64), bands):
+            rows = np.take(b, perm[lo : lo + 64], axis=0)
+            total += float(np.einsum("ij,ij->", band, np.take(rows, perm[lo:], axis=1)))
+        return max(total, 0.0)
+
+    cov_obs = covariance(np.arange(m))
+    exceed = sum(covariance(rng.permutation(m)) >= cov_obs for _ in range(n_perm))
+    return float(observed), float((1.0 + exceed) / (1.0 + n_perm)), int(m)
+
+
+# Sizes below, at and just above 64 rows (one band), at four full 64-row bands
+# and just above them, where the bands widen to ceil(m / 4) rows.
+SWEEP_SIZES = [5, 63, 64, 65, 130, 255, 256, 257, 301]
+
+
+def sweep_case(index):
+    """Data of case ``index``: dims 2 to 9, independent, weakly or strongly
+    dependent, some with a constant coordinate or a constant sample, some
+    subsampled."""
+    rng = np.random.default_rng(3000 + index)
+    m = SWEEP_SIZES[index % len(SWEEP_SIZES)]
+    n = m + 15 * (index % 4 == 1)  # subsampled to m points
+    dim_x, dim_y = 2 + index % 8, 2 + (index // 8) % 8
+    x = rng.standard_normal((n, dim_x))
+    coupling = (0.0, 0.1, 1.0)[(index // len(SWEEP_SIZES)) % 3]
+    y = rng.standard_normal((n, dim_y)) + coupling * np.tanh(x @ rng.standard_normal((dim_x, dim_y)))
+    if index % 5 == 2:
+        x[:, -1] = 0.75
+    if index % 37 == 11:
+        y[:] = 1.5
+    return (x, y), m
+
+
+@pytest.mark.parametrize("index", range(216))
+def test_dcor_kernel_matches_the_banded_float64_kernel(index):
+    """The float32 screen, the wider bands and the row sums give the (stat, p,
+    n_used) and the generator state of the 64-row float64 kernel."""
+    data, m = sweep_case(index)
+    assert_same_test(
+        _stats.dcor_permutation_test, banded_float64_dcor_permutation_test,
+        index, data, 29, m,
+    )
+
+
 @pytest.mark.parametrize("n_perm", [0, 1])
 def test_dcor_kernel_matches_reference_perm_counts(n_perm):
     data_rng = np.random.default_rng(7)
@@ -315,7 +377,6 @@ def test_energy_indicator_blocks_are_bounded(n_perm):
 # worker count changes neither the statistics nor the generator's stream.
 
 PERM_BLOCK = _stats._DCOR_PERM_BLOCK
-ROW_BAND = _stats._DCOR_ROW_BAND
 PERMUTED_COVARIANCE = _stats._permuted_covariance
 
 
@@ -325,9 +386,9 @@ def pooled_dcor_test(monkeypatch, workers, data, n_perm, max_points, seed=6):
     monkeypatch.setattr(_stats, "_pool_workers", lambda: workers)
     names = set()
 
-    def recording(a, b, perm):
+    def recording(bands, b, perm, scratch):
         names.add(threading.current_thread().name)
-        return PERMUTED_COVARIANCE(a, b, perm)
+        return PERMUTED_COVARIANCE(bands, b, perm, scratch)
 
     monkeypatch.setattr(_stats, "_permuted_covariance", recording)
     rng = np.random.default_rng(seed)
@@ -391,11 +452,25 @@ def test_pool_workers_without_an_affinity_call_are_the_cpu_count(monkeypatch, cp
     assert _stats._pool_workers() == workers
 
 
+@pytest.mark.parametrize("m, rows", [(1, 64), (64, 64), (256, 64), (257, 65), (600, 150), (1024, 256)])
+def test_band_rows_are_a_quarter_of_the_points_and_at_least_64(m, rows):
+    assert _stats._band_rows(m) == rows
+
+
+def test_double_center_in_place_is_the_expression_bit_for_bit():
+    dist = _stats.distance_matrix(np.random.default_rng(3).standard_normal((70, 3)))
+    want = dist - dist.mean(axis=0, keepdims=True) - dist.mean(axis=1, keepdims=True) + dist.mean()
+    got = _stats.double_center(dist)
+    assert got is dist
+    assert np.array_equal(got, want)
+
+
 @settings(derandomize=True, deadline=None, max_examples=20)
-@given(m=st.integers(min_value=1, max_value=3 * ROW_BAND), seed=st.integers(0, 2**32 - 1))
-@example(m=ROW_BAND - 1, seed=0)
-@example(m=ROW_BAND, seed=1)
-@example(m=2 * ROW_BAND + 5, seed=2)
+@given(m=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1))
+@example(m=63, seed=0)
+@example(m=64, seed=1)
+@example(m=133, seed=2)
+@example(m=257, seed=3)
 def test_permuted_covariance_matches_the_full_gather(m, seed):
     """On the folded a, the half-gather band sums equal sum(a * b[p][:, p]) of the
     unfolded a within 1e-12 of the sum of |terms| (the sum itself can cancel to
@@ -404,5 +479,160 @@ def test_permuted_covariance_matches_the_full_gather(m, seed):
     a, b = _stats.centered_distance_matrices(rng.standard_normal((m, 2)), rng.standard_normal((m, 3)))
     perm = rng.permutation(m)
     terms = a * b[np.ix_(perm, perm)]
-    got = _stats._permuted_covariance(_stats._fold_upper_bands(a), b, perm)
+    got = _stats._permuted_covariance(_stats._fold_upper_bands(a), b, perm, _stats._scratch(m))
     assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
+
+
+# Every permutation is scored first in float32 and re-scored in float64 when
+# its float32 covariance lies within a rounding margin of the observed one.
+# The screen may only save work: the results are those of the float64 path.
+
+
+def scaled_data(seed, m, scale_x=1.0, scale_y=1.0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, 3))
+    y = 0.2 * x[:, :2] + rng.standard_normal((m, 2))
+    return scale_x * x, scale_y * y
+
+
+def counted_dcor_test(monkeypatch, data, n_perm, seed=5, max_points=1280, exact=False):
+    """Run the dcor test, with the margin forced to inf when ``exact`` (every
+    permutation re-scored in float64); returns (result, generator state, number
+    of float32 and of float64 scores)."""
+    if exact:
+        monkeypatch.setattr(_stats, "_float32_margin", lambda *args: math.inf)
+    counts = {"float32": 0, "float64": 0}
+
+    def counting(bands, b, perm, scratch):
+        counts[b.dtype.name] += 1
+        return PERMUTED_COVARIANCE(bands, b, perm, scratch)
+
+    monkeypatch.setattr(_stats, "_permuted_covariance", counting)
+    rng = np.random.default_rng(seed)
+    got = _stats.dcor_permutation_test(*data, n_perm, rng, max_points=max_points)
+    monkeypatch.undo()
+    return got, rng.bit_generator.state, counts
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        scaled_data(0, 150),
+        scaled_data(1, 300),
+        (
+            np.random.default_rng(2).standard_normal((90, 4)),
+            np.random.default_rng(3).standard_normal((90, 1)),
+        ),
+        # a few points on a line: the identity and the reversal tie the observed covariance
+        (np.random.default_rng(4).standard_normal((3, 2)), np.arange(3.0)[:, None]),
+        (np.random.default_rng(5).standard_normal((5, 2)), np.arange(5.0)[:, None]),
+    ],
+    ids=["m150", "m300", "independent", "ties-m3", "ties-m5"],
+)
+def test_dcor_with_every_permutation_exact_equals_the_default(monkeypatch, data):
+    n_perm = 199
+    got, state, counts = counted_dcor_test(monkeypatch, data, n_perm)
+    exact, exact_state, exact_counts = counted_dcor_test(monkeypatch, data, n_perm, exact=True)
+    assert got == exact
+    assert state == exact_state
+    assert exact_counts == {"float32": n_perm, "float64": n_perm + 1}
+    # the screen decided most permutations; the observed covariance is float64
+    assert counts["float32"] == n_perm
+    assert 1 <= counts["float64"] <= 1 + n_perm // 2
+
+
+def test_dcor_ties_through_the_screen_count_as_exceedances(monkeypatch):
+    """On three points of a line, the identity and the reversal keep b; both tie."""
+    x = np.random.default_rng(4).standard_normal((3, 2))
+    y = np.arange(3.0)[:, None]
+    got, _, counts = counted_dcor_test(monkeypatch, (x, y), 199)
+    rng = np.random.default_rng(5)
+    ties = sum(
+        np.array_equal(p, [0, 1, 2]) or np.array_equal(p, [2, 1, 0])
+        for p in (rng.permutation(3) for _ in range(199))
+    )
+    assert ties > 0
+    assert got[1] >= (1.0 + ties) / 200.0
+    assert counts["float64"] >= 1 + ties
+
+
+def test_dcor_screen_clips_negative_covariances_as_the_ranking_does(monkeypatch):
+    """With every covariance negated, the observed one clips to 0 and every
+    permutation ties it, also those whose float32 score lies far below 0."""
+    monkeypatch.setattr(
+        _stats, "_permuted_covariance", lambda *args: -abs(PERMUTED_COVARIANCE(*args))
+    )
+    got = _stats.dcor_permutation_test(*scaled_data(8, 100), 49, np.random.default_rng(1))
+    assert got[1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "scale_x, scale_y, screened",
+    [
+        (1e30, 1.0, True),
+        (1e-30, 1.0, True),
+        (1.0, 1e30, True),
+        (1e30, 1e-30, True),
+        (1e150, 1.0, True),
+        (1.0, 1e-150, True),
+        (1e150, 1e-150, True),
+        # the scales' product nears the ends of float64's range
+        (1e150, 1e150, False),
+        (1e-150, 1e-150, False),
+        # squared differences overflow (NaN after centring) or underflow (zero distances)
+        (1e200, 1.0, False),
+        (1e-200, 1.0, False),
+        (1.0, 1e200, False),
+        (1.0, 1e-200, False),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing scales
+def test_dcor_on_scaled_inputs_gives_the_float64_result(monkeypatch, scale_x, scale_y, screened):
+    """Scaled inputs give the float64 path's result, with the screen used or not."""
+    data = scaled_data(6, 120, scale_x, scale_y)
+    got, state, counts = counted_dcor_test(monkeypatch, data, 99)
+    exact, exact_state, _ = counted_dcor_test(monkeypatch, data, 99, exact=True)
+    assert_equal(got, exact)
+    assert state == exact_state
+    assert (counts["float32"] > 0) == screened
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_dcor_with_a_nan_gives_the_float64_result(monkeypatch, where):
+    x, y = scaled_data(7, 80)
+    (x if where == "x" else y)[5, 1] = np.nan
+    got, state, counts = counted_dcor_test(monkeypatch, (x, y), 49)
+    exact, exact_state, _ = counted_dcor_test(monkeypatch, (x, y), 49, exact=True)
+    assert_equal(got, exact)
+    assert state == exact_state
+    assert counts["float32"] == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    m=st.integers(min_value=1, max_value=300),
+    seed=st.integers(0, 2**32 - 1),
+    exp_x=st.sampled_from([-150, -30, 0, 30, 150]),
+    exp_y=st.sampled_from([-30, 0, 30]),
+)
+@example(m=2, seed=0, exp_x=0, exp_y=0)
+@example(m=257, seed=1, exp_x=150, exp_y=-30)
+@example(m=300, seed=2, exp_x=-150, exp_y=30)
+def test_float32_score_is_within_the_margin_of_the_float64_score(m, seed, exp_x, exp_y):
+    """|s32 - s64| <= margin, in the scaled units of the float32 copies."""
+    rng = np.random.default_rng(seed)
+    a, b = _stats.centered_distance_matrices(
+        10.0**exp_x * rng.standard_normal((m, 2)), 10.0**exp_y * rng.standard_normal((m, 3))
+    )
+    bands = _stats._fold_upper_bands(a)
+    screen = _stats._float32_screen(bands, b)
+    if m == 1:  # one point: a and b are zero
+        assert screen is None
+        return
+    bands32, b32, margin, exponent = screen
+    scratch = _stats._scratch(m)
+    for perm in [np.arange(m)] + [rng.permutation(m) for _ in range(5)]:
+        s32 = _stats._permuted_covariance(bands32, b32, perm, scratch)
+        s64 = _stats._permuted_covariance(bands, b, perm, scratch)
+        assert abs(s32 - math.ldexp(s64, -exponent)) <= margin
