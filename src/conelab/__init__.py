@@ -25,7 +25,6 @@ from .algebra import (
     spectral_decompose,
     standard_frame,
     sym_real,
-    trace_det,
 )
 from .algorithms import (
     MultiplicationAlgorithm,
@@ -33,7 +32,6 @@ from .algorithms import (
     divide,
     interp,
     k_extended,
-    multiply,
     parse_algorithm,
     piecewise_det,
     w1,
@@ -43,12 +41,10 @@ from .distributions import (
     DensityModel,
     RieszParams,
     WishartParams,
-    gamma_cone,
     in_domain_D,
     riesz_logpdf,
     riesz_model,
     sample_riesz,
-    sample_wishart,
     wishart_logpdf,
     wishart_model,
 )
@@ -78,21 +74,16 @@ from .funceq import (
 )
 from .lukacs import (
     IndependenceReport,
-    QuotientPair,
     factorization_residual,
     independence_test,
     inverse_map,
     jacobian_check,
     k_invariant_quotient_check,
-    quotient_map,
 )
 from .peirce import (
     PeirceBasis,
     PowerExponent,
     build_peirce_basis,
-    generalized_power,
-    peirce_norm_identities,
-    peirce_project,
     principal_minor,
 )
 from .triangular import (

@@ -382,12 +382,6 @@ class Endomorphism:
             raise AlgebraMismatchError("endomorphisms from different algebras")
         return Endomorphism(self.algebra, self.matrix @ other.matrix)
 
-    def solve(self, x: Element) -> Element:
-        """Apply the inverse map without forming it."""
-        if x.algebra != self.algebra:
-            raise AlgebraMismatchError("endomorphism and element from different algebras")
-        return Element(self.algebra, np.linalg.solve(self.matrix, x.coords))
-
     def adjoint(self) -> "Endomorphism":
         # the coordinate metric is a scalar multiple of the identity for all
         # supported kinds, so the trace-form adjoint is the plain transpose
@@ -478,7 +472,8 @@ def batch_spectrum(algebra: AlgebraDescriptor, coords: np.ndarray) -> tuple:
     of sum_i f_i c_i over each row's spectral idempotents c_i.  On the
     Lorentz kind the idempotents are (1, +/-u)/2, with u the unit direction of
     the spatial part (the first axis when that part vanishes).  Matrix kinds
-    list their eigenvalues in ascending order here.
+    list their eigenvalues in ascending order here.  The map of a one-row
+    batch takes f of any number of rows.
     """
     if algebra.kind == LORENTZ:
         plus, minus = _lorentz_idempotents(coords, _lorentz_radius(coords))
@@ -523,17 +518,17 @@ def eigenvalues(x: Element) -> np.ndarray:
 
 
 def spectral_decompose(x: Element) -> SpectralDecomposition:
-    """Write x = sum_i lambda_i c_i over a complete orthogonal idempotent system."""
+    """Write x = sum_i lambda_i c_i over a complete orthogonal idempotent system.
+
+    The one-row :func:`batch_spectrum`: c_i is the map back from the indicator
+    of lambda_i.  The eigenvalues descend: the matrix kinds' ascending list is
+    reversed, the Lorentz kind's is descending already.
+    """
     algebra = x.algebra
-    if algebra.kind == LORENTZ:
-        coords = x.coords[None, :]
-        plus, minus = _lorentz_idempotents(coords, _lorentz_radius(coords))
-        frame = (Element(algebra, plus[0]), Element(algebra, minus[0]))
-        return SpectralDecomposition(frame, batch_eigenvalues(algebra, coords)[0])
-    lam, vecs = np.linalg.eigh(x.to_matrix())
-    v = vecs.T[::-1]  # rows are eigenvectors, eigenvalues descending
-    members = mats_to_coords(algebra, v[:, :, None] * v.conj()[:, None, :])
-    return SpectralDecomposition(tuple(Element(algebra, c) for c in members), lam[::-1])
+    lam, rebuild = batch_spectrum(algebra, x.coords[None, :])
+    order = slice(None, None, -1) if algebra.is_matrix_kind else slice(None)
+    members = rebuild(np.eye(algebra.rank)[order])
+    return SpectralDecomposition(tuple(Element(algebra, c) for c in members), lam[0, order])
 
 
 def _spectral_map(x: Element, fn) -> Element:
@@ -551,11 +546,6 @@ def determinant(x: Element) -> float:
     return float(np.prod(eigenvalues(x)))
 
 
-def trace_det(x: Element) -> tuple:
-    lam = eigenvalues(x)
-    return float(np.sum(lam)), float(np.prod(lam))
-
-
 def inverse(x: Element) -> Element:
     """The Jordan inverse; requires all eigenvalues away from zero."""
     lam = eigenvalues(x)
@@ -567,17 +557,9 @@ def inverse(x: Element) -> Element:
     return _spectral_map(x, lambda t: 1.0 / t)
 
 
-def element_power(x: Element, alpha: float) -> Element:
-    """Spectral power x^alpha; requires a strictly positive spectrum."""
-    lam = eigenvalues(x)
-    if lam.min() <= 0:
-        raise DomainError("fractional powers need a strictly positive spectrum")
-    return _spectral_map(x, lambda t: np.power(t, alpha))
-
-
-def in_cone(x: Element, tol: float = 0.0) -> bool:
-    """True when every eigenvalue exceeds tol."""
-    return bool(eigenvalues(x).min() > tol)
+def in_cone(x: Element) -> bool:
+    """True when every eigenvalue is positive."""
+    return bool(eigenvalues(x).min() > 0.0)
 
 
 def require_in_cone(x: Element, what: str = "argument") -> None:
@@ -728,53 +710,39 @@ def apply_random_k(algebra: AlgebraDescriptor, coords: np.ndarray, rng: np.rando
     return _random_k_images(algebra, coords, rng, len(coords))
 
 
-def _random_spectra(algebra, n, rng, low, high, log_uniform) -> np.ndarray:
-    """An (n, rank) array of iid eigenvalues from [low, high], log-uniform when asked."""
-    if not log_uniform:
-        return rng.uniform(low, high, size=(n, algebra.rank))
-    if low <= 0:
-        raise DomainError("log-uniform spectrum needs a positive interval")
-    return np.exp(rng.uniform(np.log(low), np.log(high), size=(n, algebra.rank)))
-
-
 def _place_spectra(algebra: AlgebraDescriptor, lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Rows k_i(sum_j lam_ij c_j) over the standard frame, k_i Haar-random in K."""
     return apply_random_k(algebra, lam @ np.array([c.coords for c in standard_frame(algebra)]), rng)
 
 
 def random_cone_points(
-    algebra: AlgebraDescriptor, n: int, rng: np.random.Generator, low=0.1, high=10.0, *, log_uniform=True
+    algebra: AlgebraDescriptor, n: int, rng: np.random.Generator, low=0.1, high=10.0
 ) -> np.ndarray:
-    """(n, dim) cone points with spectra in [low, high] on Haar-random frames.
+    """(n, dim) cone points with log-uniform spectra in [low, high] on Haar-random frames.
 
     The generator fills the (n, rank) spectra first, then the n frames; so
     :func:`random_cone_element` is the one-row call.
     """
     if low <= 0:
         raise DomainError("cone elements need a positive spectrum")
-    return _place_spectra(algebra, _random_spectra(algebra, n, rng, low, high, log_uniform), rng)
+    lam = np.exp(rng.uniform(np.log(low), np.log(high), size=(n, algebra.rank)))
+    return _place_spectra(algebra, lam, rng)
 
 
-def random_element(
-    algebra: AlgebraDescriptor,
-    rng: np.random.Generator,
-    spectrum_spec=None,
-    *,
-    log_uniform: bool = False,
-) -> Element:
+def random_element(algebra: AlgebraDescriptor, rng: np.random.Generator, spectrum_spec=None) -> Element:
     """Random element, deterministic under the generator state.
 
     ``spectrum_spec`` selects the law:
 
     * ``None``: standard normal coordinates (not confined to the cone);
-    * ``(lo, hi)``: eigenvalues drawn iid from [lo, hi] (log-uniformly when
-      ``log_uniform`` is set), placed on a uniformly random frame;
+    * ``(lo, hi)``: eigenvalues drawn iid uniformly from [lo, hi], placed on
+      a uniformly random frame;
     * an explicit sequence of ``rank`` eigenvalues: placed on a random frame.
     """
     if spectrum_spec is None:
         return Element(algebra, rng.standard_normal(algebra.dim))
     if isinstance(spectrum_spec, tuple) and len(spectrum_spec) == 2:
-        lam = _random_spectra(algebra, 1, rng, *spectrum_spec, log_uniform)
+        lam = rng.uniform(*spectrum_spec, size=(1, algebra.rank))
     else:
         lam = np.asarray(spectrum_spec, dtype=float)
         if lam.shape != (algebra.rank,):
@@ -785,15 +753,10 @@ def random_element(
 
 
 def random_cone_element(
-    algebra: AlgebraDescriptor,
-    rng: np.random.Generator,
-    low: float = 0.1,
-    high: float = 10.0,
-    *,
-    log_uniform: bool = True,
+    algebra: AlgebraDescriptor, rng: np.random.Generator, low: float = 0.1, high: float = 10.0
 ) -> Element:
     """Random point of the open cone with spectrum in [low, high]: one row of :func:`random_cone_points`."""
-    return Element(algebra, random_cone_points(algebra, 1, rng, low, high, log_uniform=log_uniform)[0])
+    return Element(algebra, random_cone_points(algebra, 1, rng, low, high)[0])
 
 
 def axiom_residuals(algebra: AlgebraDescriptor, n: int, rng: np.random.Generator) -> dict:

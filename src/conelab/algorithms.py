@@ -13,7 +13,7 @@ g(x_i) y_i with g(x) = w(x)^{-1}.  Everything else is derived from it:
 :meth:`MultiplicationAlgorithm.solve_batch` are one prepared batch each,
 the matrices w(x_i) are the images of the coordinate basis under one
 prepared batch (:meth:`MultiplicationAlgorithm.matrices`), and
-:func:`multiply` and :func:`divide` are one-row calls.
+:func:`divide` is the one-row call of ``solve_batch``.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ class MultiplicationAlgorithm:
     one x row is broadcast over every y row.  A batch does not check y: the
     checked calls are :meth:`apply_batch` and :meth:`solve_batch`.  Calling
     the algorithm on one point is the one-row call of :meth:`matrices`.
+    ``spec`` names the algorithm in the form :func:`parse_algorithm` reads.
     """
 
-    kind: str
+    spec: str
     algebra: AlgebraDescriptor
     prepare: Callable[[np.ndarray], object] = field(repr=False)
     homogeneous: bool = True
     frame: Optional[JordanFrame] = None
-    alpha: Optional[float] = None
-    spec: str = ""
 
     def __call__(self, x: Element) -> Endomorphism:
         require_in_cone(x, "multiplication algorithm argument")
@@ -129,7 +128,7 @@ def w1(algebra: AlgebraDescriptor) -> MultiplicationAlgorithm:
             lambda y: batch_quad_rep(algebra, power(-0.5), power(-1.0), y),
         )
 
-    return MultiplicationAlgorithm(kind="w1", algebra=algebra, prepare=prepare, homogeneous=True, spec="w1")
+    return MultiplicationAlgorithm(spec="w1", algebra=algebra, prepare=prepare, homogeneous=True)
 
 
 def w2(frame) -> MultiplicationAlgorithm:
@@ -137,12 +136,11 @@ def w2(frame) -> MultiplicationAlgorithm:
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     return MultiplicationAlgorithm(
-        kind="w2",
+        spec="w2",
         algebra=frame.algebra,
         prepare=lambda x: batch_triangular_decompose(x, frame),
         homogeneous=True,
         frame=frame,
-        spec="w2",
     )
 
 
@@ -163,13 +161,11 @@ def interp(alpha: float, frame) -> MultiplicationAlgorithm:
         )
 
     return MultiplicationAlgorithm(
-        kind="interp",
+        spec=f"interp:{alpha:g}",
         algebra=algebra,
         prepare=prepare,
         homogeneous=True,
         frame=frame,
-        alpha=alpha,
-        spec=f"interp:{alpha:g}",
     )
 
 
@@ -188,12 +184,11 @@ def k_extended(base: MultiplicationAlgorithm, k: Endomorphism, spec: str = "") -
         return RowMaps(lambda y: batch.apply(y @ k_t), lambda y: batch.solve(y) @ k_inv_t)
 
     return MultiplicationAlgorithm(
-        kind="kext",
+        spec=spec or f"kext:{base.spec}",
         algebra=base.algebra,
         prepare=prepare,
         homogeneous=base.homogeneous,
         frame=base.frame,
-        spec=spec or f"kext:{base.spec}",
     )
 
 
@@ -218,12 +213,11 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
         return RowMaps(lambda y: split("apply", y), lambda y: split("solve", y))
 
     return MultiplicationAlgorithm(
-        kind="piecewise",
+        spec="piecewise",
         algebra=frame.algebra,
         prepare=prepare,
         homogeneous=False,
         frame=frame,
-        spec="piecewise",
     )
 
 
@@ -263,11 +257,6 @@ def parse_algorithm(spec: str, algebra: AlgebraDescriptor, frame=None) -> Multip
 # ---------------------------------------------------------------------------
 
 
-def multiply(w: MultiplicationAlgorithm, x: Element, y: Element) -> Element:
-    """w(x) y as a one-row apply_batch; multiply(w, x, e) = x."""
-    return Element(y.algebra, w.apply_batch(x.coords[None, :], y.coords[None, :])[0])
-
-
 def divide(w: MultiplicationAlgorithm, x: Element, y: Element) -> Element:
     """g(x) y with g = w^{-1}, as a one-row solve_batch; divide(w, x, x) = e."""
     return Element(y.algebra, w.solve_batch(x.coords[None, :], y.coords[None, :])[0])
@@ -291,13 +280,9 @@ class AlgorithmReport:
     homogeneous: bool
 
 
-def check_algorithm(
-    w: MultiplicationAlgorithm,
-    sample_count: int,
-    rng: np.random.Generator,
-    homogeneity_tol: float = 1e-9,
-) -> AlgorithmReport:
-    """The residuals of :class:`AlgorithmReport` on one draw of cone points x, y and scales s.
+def check_algorithm(w: MultiplicationAlgorithm, sample_count: int, rng: np.random.Generator) -> AlgorithmReport:
+    """The residuals of :class:`AlgorithmReport` on one draw of cone points x, y and scales s;
+    ``homogeneous`` when the homogeneity residual is at most 1e-9.
 
     All but the division roundtrip are read from the stacked matrices w(x_i)
     and w(s_i x_i); the roundtrip is one ``solve_batch`` of x over the rows w(x_i) y_i.
@@ -328,7 +313,7 @@ def check_algorithm(
         )
     )
     return AlgorithmReport(
-        spec=w.spec or w.kind,
+        spec=w.spec,
         samples=sample_count,
         neutrality=neutrality,
         cone_violation=cone_violation,
@@ -337,5 +322,5 @@ def check_algorithm(
         ddet_rel=ddet_rel,
         det_multiplicativity=det_mult,
         divide_roundtrip=roundtrip,
-        homogeneous=homogeneity <= homogeneity_tol,
+        homogeneous=homogeneity <= 1e-9,
     )

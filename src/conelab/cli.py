@@ -204,6 +204,27 @@ def _count(cfg: dict, key: str, where: str, default=None) -> int:
     return value
 
 
+def _text(cfg: dict, key: str, default: str) -> str:
+    """cfg[key] (``default`` when the key is absent), a string."""
+    value = cfg.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _suite_names(cfg: dict) -> list:
+    """cfg["suites"] (every suite when absent), a list of names from :data:`SUITE_NAMES`."""
+    suites = cfg.get("suites", list(SUITE_NAMES))
+    if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
+        raise ConfigError(f"'suites' must be a list of suite names, got {suites!r}")
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown:
+        raise ConfigError(
+            f"unknown suites {unknown}; valid suites: {', '.join(SUITE_NAMES)}"
+        )
+    return suites
+
+
 def _overrides(cfg: dict, key: str, defaults: dict) -> dict:
     """The object under cfg[key], keyed by names of ``defaults``; {} when absent."""
     value = cfg.get(key, {})
@@ -371,7 +392,7 @@ def suite_lukacs(algebra, algorithm, rng, n, tol):
     a = random_cone_element(algebra, rng, 0.8, 1.6)
     a_shift = a + 0.1 * identity(algebra)
     nd_ratio = algebra.dim / algebra.rank
-    if algorithm.kind == "w2":
+    if algorithm.spec == "w2":
         shifts = 0.5 * algebra.peirce_d * np.arange(algebra.rank)
         s1 = PowerExponent.of(shifts + nd_ratio + 0.8)
         s2 = PowerExponent.of(shifts + nd_ratio + 0.3)
@@ -435,13 +456,8 @@ SUITES = {
 
 def cmd_run(cfg: dict, out_dir: Path) -> int:
     algebra = _algebra_from_config(cfg.get("algebra", "sym_real(2)"))
-    algorithm = parse_algorithm(cfg.get("algorithm", "w1"), algebra)
-    suites = cfg.get("suites", list(SUITE_NAMES))
-    unknown = [s for s in suites if s not in SUITES]
-    if unknown:
-        raise ConfigError(
-            f"unknown suites {unknown}; valid suites: {', '.join(SUITE_NAMES)}"
-        )
+    algorithm = parse_algorithm(_text(cfg, "algorithm", "w1"), algebra)
+    suites = _suite_names(cfg)
     seed = cfg["seed"]
     samples = _overrides(cfg, "samples", DEFAULT_SAMPLES)
     samples_cfg = dict(DEFAULT_SAMPLES)
@@ -536,7 +552,7 @@ def _oracle_csv_rows(path, algebra):
 
 def cmd_decompose(cfg: dict, out_dir: Path) -> int:
     algebra = _algebra_from_config(cfg.get("algebra", "sym_real(2)"))
-    algorithm = parse_algorithm(cfg.get("algorithm", "w1"), algebra)
+    algorithm = parse_algorithm(_text(cfg, "algorithm", "w1"), algebra)
     oracle_cfg = cfg.get("oracle")
     if not isinstance(oracle_cfg, dict) or "family" not in oracle_cfg:
         raise ConfigError("decompose requires an 'oracle' object with a 'family'")
@@ -611,6 +627,7 @@ def cmd_sample(cfg: dict, out_dir: Path) -> int:
     if not isinstance(dist, dict) or "type" not in dist:
         raise ConfigError("sample requires a 'distribution' object with a 'type'")
     n = _count(cfg, "n", "config", 1000)
+    output = _text(cfg, "output", "draws.csv")
     frame = standard_frame(algebra)
     a = _element_from_config(dist, "a", "e", algebra, "distribution")
     if dist["type"] == "wishart":
@@ -622,7 +639,7 @@ def cmd_sample(cfg: dict, out_dir: Path) -> int:
     rng = _sub_rng(cfg["seed"], "sample")
     draws = sample_riesz(params, n, rng)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / cfg.get("output", "draws.csv")
+    path = out_dir / output
     save_samples_csv(path, draws)
     print(f"[pass] sample ({n} draws -> {path})")
     return 0

@@ -62,7 +62,7 @@ def gamma_shapes(s, algebra: AlgebraDescriptor) -> np.ndarray:
 
 
 def log_gamma_cone(s, algebra: AlgebraDescriptor) -> float:
-    """log of the cone Gamma function."""
+    """log of the cone Gamma function (2 pi)^((dim-r)/2) prod_j Gamma(s_j - (j-1)d/2)."""
     shapes = gamma_shapes(s, algebra)
     if np.any(shapes <= 0):
         raise DomainError(
@@ -70,11 +70,6 @@ def log_gamma_cone(s, algebra: AlgebraDescriptor) -> float:
         )
     half_log_two_pi = 0.5 * (algebra.dim - algebra.rank) * np.log(2.0 * np.pi)
     return float(half_log_two_pi + np.sum([math.lgamma(shape) for shape in shapes]))
-
-
-def gamma_cone(s, algebra: AlgebraDescriptor) -> float:
-    """Gamma function of the cone: (2 pi)^((dim-r)/2) prod_j Gamma(s_j - (j-1)d/2)."""
-    return float(np.exp(log_gamma_cone(s, algebra)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +230,6 @@ def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator) -> Point
     if scale is not None:
         y = y @ scale.T
     return Points(algebra, y)
-
-
-def sample_wishart(params: WishartParams, n: int, rng: np.random.Generator, frame=None) -> Points:
-    return sample_riesz(params.as_riesz(frame), n, rng)
 
 
 def wishart_mean_sigmas(coords: np.ndarray, p: float, a: Element) -> float:

@@ -1,9 +1,9 @@
 """Quotient/sum transform, its Jacobian, density factorization and independence tests.
 
 For independent cone variables X, Y the pair (U, V) = (g(X+Y) X, X+Y) is the
-cone analogue of (X/(X+Y), X+Y).  This module implements the bijection and
-its inverse, checks the Jacobian formula DDet(w(v)) = (det v)^(dim/r) by
-finite differences, verifies the joint-density factorization for matched
+cone analogue of (X/(X+Y), X+Y).  This module implements the bijection on
+coordinate batches (:func:`batch_quotient`) and its inverse, checks the
+Jacobian formula DDet(w(v)) = (det v)^(dim/r) by finite differences, verifies the joint-density factorization for matched
 factorized models, and runs Monte-Carlo independence and rotation-invariance
 tests on sampled data.
 """
@@ -26,7 +26,7 @@ from .algebra import (
     random_cone_element,
     require_in_cone,
 )
-from .algorithms import MultiplicationAlgorithm, divide
+from .algorithms import MultiplicationAlgorithm
 from .distributions import DensityModel, in_domain_D, random_in_domain_D
 from .errors import (
     ContractError,
@@ -40,30 +40,8 @@ DEFAULT_N_PERM = 500
 DEFAULT_MAX_POINTS = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientPair:
-    """The transformed pair (u, v) with u in the domain D and v in the cone."""
-
-    u: Element
-    v: Element
-
-    def __post_init__(self) -> None:
-        if not in_domain_D(self.u):
-            raise DomainError("quotient component is outside the domain D")
-        require_in_cone(self.v, "sum component")
-
-
-def quotient_map(x: Element, y: Element, w: MultiplicationAlgorithm) -> QuotientPair:
-    """(x, y) -> (g(x+y) x, x+y); both arguments must lie in the cone."""
-    require_in_cone(x, "first summand")
-    require_in_cone(y, "second summand")
-    v = x + y
-    u = divide(w, v, x)
-    return QuotientPair(u, v)
-
-
 def inverse_map(u: Element, v: Element, w: MultiplicationAlgorithm):
-    """(u, v) -> (w(v) u, w(v)(e - u)); the inverse of :func:`quotient_map`."""
+    """(u, v) -> (w(v) u, w(v)(e - u)); the inverse of the quotient map of :func:`batch_quotient`."""
     if not in_domain_D(u):
         raise DomainError("first argument must lie in the domain D")
     require_in_cone(v, "second argument")

@@ -190,9 +190,9 @@ def _nan_wlog(monkeypatch, counter):
 
     def residual(f, w, pairs):
         if counter:
-            hit = w.kind == "w1" and any(f is g for g in minor_powers)
+            hit = w.spec == "w1" and any(f is g for g in minor_powers)
         else:
-            hit = w.kind == "w2"
+            hit = w.spec == "w2"
         return NAN if hit else wlog_residual(f, w, pairs)
 
     monkeypatch.setattr(fe, "delta_s_log", recorded)

@@ -361,6 +361,28 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("run", {"suites": 5}, "'suites' must be a list of suite names"),
+        ("run", {"suites": [["peirce"]]}, "'suites' must be a list of suite names"),
+        ("run", {"suites": "peirce"}, "'suites' must be a list of suite names"),
+        ("run", {"algorithm": 5}, "'algorithm' must be a string"),
+        ("decompose", {"algorithm": 5, "oracle": {"family": "zero"}}, "'algorithm' must be a string"),
+        ("sample", {"output": 5, "distribution": {"type": "riesz", "s": [2.0, 1.5]}}, "'output' must be a string"),
+    ],
+    ids=["suites-number", "suites-nested-list", "suites-string", "run-algorithm-number",
+         "decompose-algorithm-number", "sample-output-number"],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, command, overrides, message):
+    """A value of the wrong JSON type exits 2 with an error naming the key, not a traceback."""
+    cfg = write_config(tmp_path, name="wrong_type.json", **overrides)
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_decompose_requires_oracle(tmp_path):
     cfg = write_config(tmp_path, name="no_oracle.json")
     assert cli.main(["decompose", str(cfg)]) == 2

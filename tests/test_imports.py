@@ -6,9 +6,13 @@ sample``, ``conelab decompose`` and ``conelab run`` of every suite, the
 permutation tests, cone Gamma functions and the quadrature check included,
 leave no scipy module in ``sys.modules``.  A child pinned to one CPU before
 it imports numpy sizes the permutation pool to one worker and writes the
-same bytes as an unpinned child.
+same bytes as an unpinned child.  Every library name the benchmark under
+``conebench/`` patches or reads still exists.
 """
 
+import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +25,7 @@ import conelab
 from conelab import cli
 
 SRC = str(Path(conelab.__file__).resolve().parent.parent)
+CONEBENCH = Path(__file__).resolve().parent.parent / "conebench"
 
 
 # print the exit status of ``cli.main(argv)`` (None: no command) and the scipy modules loaded
@@ -124,3 +129,39 @@ def test_one_cpu_gives_one_pool_worker_and_the_same_bytes(tmp_path):
         "algebra-axioms.json", "lukacs.json", "summary.json", "draws.csv", "decomposition.json",
     }
     assert outputs["pinned"] == outputs["unpinned"]
+
+
+def test_every_name_the_benchmark_binds_exists(monkeypatch):
+    """Each ``tracing.LAYERS`` entry resolves (a class's own attribute, or a module
+    attribute), and so does every conelab attribute and import that
+    ``workloads.py`` reads; the benchmark's files are only read."""
+    spec = importlib.util.spec_from_file_location("conebench_tracing", CONEBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    missing = []
+    for layer in tracing.LAYERS:
+        home = importlib.import_module(f"conelab.{layer.module}")
+        if layer.owner_class is not None:
+            found = layer.attr in getattr(home, layer.owner_class, object).__dict__
+        else:
+            found = hasattr(home, layer.attr)
+        if not found:
+            missing.append(layer.name)
+
+    tree = ast.parse((CONEBENCH / "workloads.py").read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("conelab"):
+            for name in node.names:
+                target = f"{node.module}.{name.name}"
+                if node.module == "conelab" and importlib.util.find_spec(target) is not None:
+                    aliases[name.asname or name.name] = importlib.import_module(target)
+                elif not hasattr(importlib.import_module(node.module), name.name):
+                    missing.append(target)
+    assert {"alg", "ma", "cli", "dist", "fe", "lk"} <= set(aliases)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if not hasattr(aliases[node.value.id], node.attr):
+                missing.append(f"{node.value.id}.{node.attr}")
+    assert not missing

@@ -6,6 +6,7 @@ from conelab import algebra as alg
 from conelab import cli, peirce
 from conelab.errors import DomainError, ValidationError
 
+import reference as ref
 from conftest import ALGEBRAS
 
 
@@ -25,7 +26,7 @@ def test_peirce_project_matches_brute_force(a, rng):
         x = alg.random_element(a, rng)
         total = alg.zero(a)
         for ev in (0.0, 0.5, 1.0):
-            got = peirce.peirce_project(x, c, ev)
+            got = ref.peirce_project(x, c, ev)
             assert_allclose(got.coords, brute_force_projection(c, x, ev), atol=1e-10)
             total = total + got
         assert alg.norm(total - x) < 1e-12
@@ -34,19 +35,19 @@ def test_peirce_project_matches_brute_force(a, rng):
 def test_peirce_project_examples(rng):
     a = alg.sym_real(2)
     c = alg.standard_frame(a)[0]
-    assert alg.norm(peirce.peirce_project(c, c, 1.0) - c) < 1e-14
+    assert alg.norm(ref.peirce_project(c, c, 1.0) - c) < 1e-14
     x = alg.from_matrix(a, np.array([[1.3, -0.4], [-0.4, 2.2]]))
     assert_allclose(
-        peirce.peirce_project(x, c, 1.0).to_matrix(), [[1.3, 0], [0, 0]], atol=1e-12
+        ref.peirce_project(x, c, 1.0).to_matrix(), [[1.3, 0], [0, 0]], atol=1e-12
     )
     assert_allclose(
-        peirce.peirce_project(x, c, 0.5).to_matrix(), [[0, -0.4], [-0.4, 0]], atol=1e-12
+        ref.peirce_project(x, c, 0.5).to_matrix(), [[0, -0.4], [-0.4, 0]], atol=1e-12
     )
     assert_allclose(
-        peirce.peirce_project(x, c, 0.0).to_matrix(), [[0, 0], [0, 2.2]], atol=1e-12
+        ref.peirce_project(x, c, 0.0).to_matrix(), [[0, 0], [0, 2.2]], atol=1e-12
     )
     ev1_via_quad = alg.quad_rep(c).apply(x)
-    assert alg.norm(peirce.peirce_project(x, c, 1.0) - ev1_via_quad) < 1e-13
+    assert alg.norm(ref.peirce_project(x, c, 1.0) - ev1_via_quad) < 1e-13
 
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
@@ -64,13 +65,10 @@ def test_peirce_projectors_are_orthogonal_projections(a, rng):
     assert_allclose(total, eye, atol=1e-10)
 
 
-def test_peirce_project_rejects_non_idempotent(rng):
+def test_peirce_projectors_reject_non_idempotent():
     a = alg.sym_real(2)
-    x = alg.random_element(a, rng)
     with pytest.raises(ValidationError):
-        peirce.peirce_project(x, 2.0 * alg.identity(a), 1.0)
-    with pytest.raises(ValidationError):
-        peirce.peirce_project(x, alg.identity(a), 0.3)
+        peirce.peirce_projectors(2.0 * alg.identity(a))
 
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
@@ -106,46 +104,66 @@ def test_multiplication_table(a, rng):
         x = alg.Element(a, rng.standard_normal(a.peirce_d) @ basis.subspaces[(i, j)])
         y = alg.Element(a, rng.standard_normal(a.peirce_d) @ basis.subspaces[(j, k)])
         prod = alg.jordan_product(x, y)
-        outside = prod - basis.project(prod, i, k)
+        outside = prod - ref.project(basis, prod, i, k)
         assert alg.norm(outside) < 1e-10
 
 
 def test_norm_identities_example():
     a = alg.sym_real(3)
-    basis = peirce.build_peirce_basis(alg.standard_frame(a))
+    frame = alg.standard_frame(a)
     x = alg.from_matrix(a, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]]))
     y = alg.from_matrix(a, np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0.0]]))
-    x_sq, xy_norm_sq = peirce.peirce_norm_identities(x, y, 0, 1, 2, basis)
+    x_sq, xy, square, cross = ref.pair_identities(x, y, 0, 1, frame)
     assert_allclose(x_sq.to_matrix(), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    assert xy_norm_sq == pytest.approx(0.5, abs=1e-12)
+    assert alg.inner(xy, xy) == pytest.approx(0.5, abs=1e-12)
+    assert square < 1e-12 and cross < 1e-12
 
 
-def test_norm_identities_zero_and_errors(rng):
+def test_norm_identities_of_zero():
     a = alg.sym_real(3)
-    basis = peirce.build_peirce_basis(alg.standard_frame(a))
     z = alg.zero(a)
-    x_sq, xy = peirce.peirce_norm_identities(z, z, 0, 1, 2, basis)
-    assert alg.norm(x_sq) == 0.0 and xy == 0.0
-    with pytest.raises(ValidationError):
-        peirce.peirce_norm_identities(z, z, 0, 1, 0, basis)
-    x = alg.random_cone_element(a, rng)  # not inside E_01
-    with pytest.raises(ValidationError):
-        peirce.peirce_norm_identities(x, z, 0, 1, 2, basis)
+    x_sq, xy, square, cross = ref.pair_identities(z, z, 0, 1, alg.standard_frame(a))
+    assert alg.norm(x_sq) == 0.0 and alg.inner(xy, xy) == 0.0
+    assert square == 0.0 and cross == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 200])
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize(
+    "a",  # criterion 2's algebras, the top ranks and rank one
+    [alg.sym_real(3), alg.herm_complex(2), alg.lorentz(4), alg.sym_real(8), alg.herm_complex(6), alg.lorentz(16),
+     alg.sym_real(1)],
+    ids=lambda a: a.name,
+)
+def test_batched_residuals_match_the_per_sample_loop(a, rotated, n):
+    """The same generator calls in the same order as the Element loop, and the same residuals to 1e-14."""
+    frame = alg.standard_frame(a)
+    if rotated:
+        rot = alg.random_automorphism_k(a, np.random.default_rng(42))
+        frame = alg.JordanFrame(tuple(rot.apply(c) for c in frame))
+    rng, rng_ref = np.random.default_rng(n + 11), np.random.default_rng(n + 11)
+    got = peirce.peirce_identity_residuals(frame, n, rng)
+    want = ref.peirce_identity_residuals_per_sample(frame, n, rng_ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-14, key
+        assert got[key] <= 1e-12, key
 
 
 @pytest.mark.parametrize(
     "product, failing",
     [
         (None, set()),
-        (lambda x, y: 1.001 * alg.jordan_product(x, y), {"square_identity", "cross_norm_identity"}),
-        (lambda x, y: alg.jordan_product(x, y) + 1e-6 * x, {"multiplication_table"}),
+        (lambda a, x, y: 1.001 * alg.batch_jordan_product(a, x, y), {"square_identity", "cross_norm_identity"}),
+        (lambda a, x, y: alg.batch_jordan_product(a, x, y) + 1e-6 * x, {"multiplication_table"}),
     ],
     ids=["intact", "scaled-product", "product-leaves-E_ik"],
 )
 def test_suite_peirce_flags_a_broken_jordan_product(monkeypatch, product, failing):
     """The shared identity residuals rise above the suite thresholds when the product is wrong."""
     if product is not None:
-        monkeypatch.setattr(peirce, "jordan_product", product)
+        monkeypatch.setattr(peirce, "batch_jordan_product", product)
     rng = np.random.default_rng(5)
     checks = cli.suite_peirce(alg.sym_real(3), None, rng, 40, cli.DEFAULT_TOLERANCES)
     failed = {name for name, check in checks.items() if not check["passed"]}
@@ -204,13 +222,13 @@ def test_generalized_power_examples(rng):
     a = alg.sym_real(2)
     frame = alg.standard_frame(a)
     e = alg.identity(a)
-    assert peirce.generalized_power(e, (0.7, -0.3), frame) == pytest.approx(1.0)
+    assert ref.generalized_power(e, (0.7, -0.3), frame) == pytest.approx(1.0)
     x = alg.from_matrix(a, np.diag([2.0, 5.0]))
-    assert peirce.generalized_power(x, (1.5, -0.5), frame) == pytest.approx(
+    assert ref.generalized_power(x, (1.5, -0.5), frame) == pytest.approx(
         2.0**1.5 * 5.0**-0.5, rel=1e-12
     )
     y = alg.from_matrix(a, np.array([[4.0, 2.0], [2.0, 2.0]]))
-    assert peirce.generalized_power(y, (1.0, 2.0), frame) == pytest.approx(4.0, rel=1e-12)
+    assert ref.generalized_power(y, (1.0, 2.0), frame) == pytest.approx(4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
@@ -220,13 +238,13 @@ def test_generalized_power_properties(a, rng):
         x = alg.random_cone_element(a, rng, 0.2, 5.0)
         p = float(rng.uniform(-2.0, 2.0))
         const = peirce.PowerExponent.constant(p, a.rank)
-        assert peirce.generalized_power(x, const, frame) == pytest.approx(
+        assert ref.generalized_power(x, const, frame) == pytest.approx(
             alg.determinant(x) ** p, rel=1e-10
         )
         s = rng.uniform(-1.5, 1.5, a.rank)
         lam = float(rng.uniform(0.3, 3.0))
-        assert peirce.generalized_power(lam * x, s, frame) == pytest.approx(
-            lam ** float(np.sum(s)) * peirce.generalized_power(x, s, frame), rel=1e-10
+        assert ref.generalized_power(lam * x, s, frame) == pytest.approx(
+            lam ** float(np.sum(s)) * ref.generalized_power(x, s, frame), rel=1e-10
         )
 
 
@@ -249,10 +267,10 @@ def test_generalized_power_domain_error():
     frame = alg.standard_frame(a)
     x = alg.from_matrix(a, np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
-        peirce.generalized_power(x, (1.0, 1.0), frame)
+        peirce.generalized_power_log(x, (1.0, 1.0), frame)
 
 
 def test_power_exponent_validation():
     a = alg.sym_real(2)
     with pytest.raises(ValidationError):
-        peirce.generalized_power(alg.identity(a), (1.0, 2.0, 3.0), alg.standard_frame(a))
+        peirce.generalized_power_log(alg.identity(a), (1.0, 2.0, 3.0), alg.standard_frame(a))

@@ -38,6 +38,8 @@ from conelab import algorithms as ma
 from conelab import funceq as fe
 from conelab import peirce, triangular as tri
 
+import reference as ref
+
 KINDS = (
     [alg.sym_real(r) for r in range(2, 9)]
     + [alg.herm_complex(r) for r in range(2, 7)]
@@ -185,13 +187,14 @@ def test_frobenius_steps_on_no_rows_rank_one_and_the_smallest_lorentz(a):
 def reference_w(w, x):
     """The closed form of w(x), built from quad_rep and the triangular group element."""
     frame = w.frame
-    if w.kind == "w1":
-        return alg.quad_rep(alg.element_power(x, 0.5))
-    if w.kind == "w2":
+    if w.spec == "w1":
+        return alg.quad_rep(ref.element_power(x, 0.5))
+    if w.spec == "w2":
         return tri.as_endomorphism(tri.triangular_decompose(x, frame))
-    if w.kind == "interp":
-        tail = tri.triangular_decompose(alg.element_power(x, 1.0 - 2.0 * w.alpha), frame)
-        return alg.quad_rep(alg.element_power(x, w.alpha)) @ tri.as_endomorphism(tail)
+    if w.spec.startswith("interp:"):
+        alpha = float(w.spec.split(":")[1])
+        tail = tri.triangular_decompose(ref.element_power(x, 1.0 - 2.0 * alpha), frame)
+        return alg.quad_rep(ref.element_power(x, alpha)) @ tri.as_endomorphism(tail)
     # piecewise: w1 where det x > 1, w2 elsewhere
     return reference_w(ma.w1(x.algebra) if alg.determinant(x) > 1.0 else ma.w2(frame), x)
 
@@ -245,14 +248,21 @@ def test_decompose_oracle_calls_do_not_grow_with_the_grid():
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("log_uniform", [True, False], ids=["log_uniform", "uniform"])
+def uniform_spectrum_points(a, n, rng, low, high):
+    """n rows of random_element's uniform law on [low, high]."""
+    return np.array([alg.random_element(a, rng, (low, high)).coords for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "draw", [alg.random_cone_points, uniform_spectrum_points], ids=["log_uniform", "uniform"]
+)
 @pytest.mark.parametrize("a", KINDS, ids=lambda a: a.name)
 @PROPERTY
 @given(seed=SEEDS)
-def test_cone_points_have_their_spectrum_in_the_interval(a, log_uniform, seed):
+def test_cone_points_have_their_spectrum_in_the_interval(a, draw, seed):
     rng = np.random.default_rng(seed)
     low, high = np.sort(np.exp(rng.uniform(-3.0, 3.0, 2)))
-    points = alg.random_cone_points(a, 200, rng, low, high, log_uniform=log_uniform)
+    points = draw(a, 200, rng, low, high)
     assert points.shape == (200, a.dim)
     lam = alg.batch_eigenvalues(a, points)
     assert lam.min() > 0.0
