@@ -17,8 +17,9 @@ Two kernels keep that traffic small:
   diagonal, with the blocks right of each diagonal block doubled (exact in
   floating point), and band ``lo`` gathers only the columns ``p[lo:]``: half
   the gather and half the reduction of the full sum.  A band has
-  ``max(64, ceil(m / 4))`` rows, so a permutation costs about a dozen numpy
-  calls.  Each band is gathered into per-worker scratch buffers and reduced
+  ``max(64, min(128, ceil(m / 4)))`` rows, so a permutation costs a few dozen
+  numpy calls at most, and at m = 1024 one worker's float32 gathers (512 kB
+  each) fit its L2 cache.  Each band is gathered into per-worker scratch buffers and reduced
   row by row with ``einsum``, and the row sums are added in float64, so no
   ``m x m`` temporary is built per permutation.
   Every permutation is scored first from float32 copies of the bands and of
@@ -31,22 +32,29 @@ Two kernels keep that traffic small:
   the float64 covariances, and a permutation that leaves the statistic
   unchanged always ties.  Scales beyond 2^+-900 or entries that are not
   finite leave the test to the float64 path alone.
-  The permutations are scored on a thread pool that lives for one call, with
-  one worker per CPU the process may run on (one worker runs inline).
-  Gathers and reductions release the GIL.  ``einsum`` never calls BLAS,
+  The test runs on a thread pool that lives for one call, with one worker per
+  CPU the process may run on (one worker runs inline and builds no pool).
+  Two of its threads build the two centred distance matrices at the same
+  time; then each block of permutations is one task per worker, task k
+  scoring every workers-th permutation of the block on its own scratch
+  buffers.  Gathers and reductions release the GIL.  ``einsum`` never calls BLAS,
   whose own threads would fight the pool's (``np.vdot`` is OpenBLAS
   ``ddot``, threaded above about 10 000 elements), and one worker computes a
   whole permutation in a fixed band order, so every statistic has the same
   bits whatever the worker count or the BLAS thread count.
 * two-sample energy test (Szekely & Rizzo 2004): the group-A labels of a
-  block of permutations are the 0/1 columns of an indicator matrix ``Z``;
-  ``colsum(Z * (D @ Z))`` gives every within-A distance sum of the block
-  through matrix products.  The pooled distance matrix ``D`` is computed a
-  band of rows at a time and never held whole, and blocks have a fixed
-  width, so memory does not grow with the sample or the permutation count.
-  The first block is drawn before the bands are computed, so one pass over
-  ``D`` gives the row sums, the within-A block of the observed labelling
-  and ``D @ Z``; only blocks after the first recompute the bands.
+  block of permutations are the contiguous 0/1 rows of an indicator matrix
+  ``Z^T``, and every within-A distance sum ``z^T D z`` of the block comes
+  from matrix products.  The pooled distance matrix ``D`` is computed a band
+  of rows at a time and never held whole, and blocks have a fixed height, so
+  memory does not grow with the sample or the permutation count.  ``D`` is
+  symmetric, so band ``lo`` multiplies only its columns from ``lo`` on, those
+  right of its diagonal block doubled, with ``Z^T[:, lo:]``: half the matrix
+  product of the full band.  The first block is drawn before the bands are
+  computed, so one pass over ``D`` gives the row sums, the within-A block of
+  the observed labelling (from the full bands, so the observed statistic is
+  that of the direct computation) and the first block's within-A sums; only
+  blocks after the first recompute the bands.
 
 Both tests draw their permutations one at a time with
 ``rng.permutation``, in the same order as a plain loop and in blocks of a
@@ -64,9 +72,9 @@ numpy alone.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -143,8 +151,12 @@ def double_center(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _centered_distances(points: np.ndarray, out=None) -> np.ndarray:
+    return double_center(distance_matrix(points, out=out))
+
+
 def centered_distance_matrices(x: np.ndarray, y: np.ndarray):
-    return double_center(distance_matrix(x)), double_center(distance_matrix(y))
+    return _centered_distances(x), _centered_distances(y)
 
 
 def dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
@@ -182,7 +194,7 @@ def _band_rows(m: int) -> int:
     narrow bands leave the pool's threads waiting on one another: with 64-row
     bands two workers scored 600-point permutations no faster than one.
     """
-    return max(64, -(-m // 4))
+    return max(64, min(128, -(-m // 4)))
 
 
 def _pool_workers() -> int:
@@ -307,19 +319,19 @@ def _permutation_blocks(m: int, n_perm: int, rng: np.random.Generator):
         yield [rng.permutation(m) for _ in range(min(_DCOR_PERM_BLOCK, n_perm - start))]
 
 
-def _map_blocks(fn, blocks, workers: int):
-    """Yield ``fn(item)`` for every item of every block, in order, on ``workers`` threads.
-
-    The pool lives as long as the iteration, and a block is drawn only when
-    the one before it is scored; with one worker the items run inline.
-    """
+@contextlib.contextmanager
+def _thread_pool(workers: int):
+    """A pool of ``workers`` threads for one test, shut down on exit; None for one worker."""
     if workers == 1:
-        for block in blocks:
-            yield from map(fn, block)
+        yield None
         return
     with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="conelab-dcor") as pool:
-        for block in blocks:
-            yield from pool.map(fn, block)
+        yield pool
+
+
+def _map(pool, fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, each call a task on ``pool`` unless it is None."""
+    return list(map(fn, *iterables) if pool is None else pool.map(fn, *iterables))
 
 
 def dcor_permutation_test(
@@ -339,26 +351,26 @@ def dcor_permutation_test(
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
     keep = subsample_rows(len(x), max_points, rng)
-    a, b = centered_distance_matrices(x[keep], y[keep])
-    observed = dcor_from_centered(a, b)
-    m = a.shape[0]
-    a = _fold_upper_bands(a)  # the full matrix is no longer needed
+    m = len(keep)
     workers = min(_pool_workers(), max(n_perm, 1))
-    free = queue.SimpleQueue()  # one scratch per worker, allocated in this thread
-    for _ in range(workers):
-        free.put(_scratch(m))
-    scratch = free.get()
-    # dcor clips a negative covariance to 0, so the ranking clips it too
-    cov_obs = max(_permuted_covariance(a, b, np.arange(m), scratch), 0.0)
-    free.put(scratch)
-    screen = _float32_screen(a, b) if math.isfinite(cov_obs) else None
-    if screen is not None:
-        bands32, b32, margin, exponent = screen
-        scaled_obs = math.ldexp(cov_obs, -exponent)
+    with _thread_pool(workers) as pool:
+        # The two distance matrices are built at the same time, one per thread.
+        # Like the scratch buffers, they are allocated on this thread: large blocks
+        # that pool threads allocated stayed in their malloc arenas, and a
+        # Monte-Carlo run peaked 13-28 MB higher.
+        outs = [np.empty((m, m)) for _ in range(2)]
+        a, b = _map(pool, _centered_distances, (x[keep], y[keep]), outs)
+        observed = dcor_from_centered(a, b)
+        a = _fold_upper_bands(a)  # the full matrix is no longer needed
+        scratches = [_scratch(m) for _ in range(workers)]  # one per task of a block
+        # dcor clips a negative covariance to 0, so the ranking clips it too
+        cov_obs = max(_permuted_covariance(a, b, np.arange(m), scratches[0]), 0.0)
+        screen = _float32_screen(a, b) if math.isfinite(cov_obs) else None
+        if screen is not None:
+            bands32, b32, margin, exponent = screen
+            scaled_obs = math.ldexp(cov_obs, -exponent)
 
-    def exceeds(perm):
-        scratch = free.get()
-        try:
+        def exceeds(perm, scratch) -> bool:
             # a float32 covariance (clipped, as the ranking clips) farther than the
             # margin from the observed one ranks as its float64 covariance does
             if screen is not None:
@@ -366,10 +378,14 @@ def dcor_permutation_test(
                 if abs(gap) > margin:
                     return gap > 0.0
             return max(_permuted_covariance(a, b, perm, scratch), 0.0) >= cov_obs
-        finally:
-            free.put(scratch)
 
-    exceed = sum(_map_blocks(exceeds, _permutation_blocks(m, n_perm, rng), workers))
+        def count(perms, scratch) -> int:
+            return sum(exceeds(perm, scratch) for perm in perms)
+
+        exceed = 0
+        for block in _permutation_blocks(m, n_perm, rng):
+            # task k scores every workers-th permutation of the block on scratch k
+            exceed += sum(_map(pool, count, [block[k::workers] for k in range(workers)], scratches))
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(m)
 
@@ -392,21 +408,21 @@ _ENERGY_ROW_BAND = 128
 
 
 def _energy_indicator_blocks(n: int, na: int, n_perm: int, rng: np.random.Generator):
-    """Yield (n, k) 0/1 matrices whose columns mark group A, k <= _ENERGY_PERM_BLOCK.
+    """Yield (k, n) 0/1 matrices whose rows mark group A, k <= _ENERGY_PERM_BLOCK.
 
-    Column 0 of the first block is the identity labelling (the first ``na``
-    points); the other ``n_perm`` columns are ``rng.permutation(n)[:na]``,
-    drawn one at a time in stream order as the blocks are consumed.
+    Row 0 of the first block is the identity labelling (the first ``na``
+    points); the other ``n_perm`` rows are ``rng.permutation(n)[:na]``, drawn
+    one at a time in stream order as the blocks are consumed.
     """
-    drawn = -1  # the identity labelling takes the first column
+    drawn = -1  # the identity labelling takes the first row
     while drawn < n_perm:
         width = min(_ENERGY_PERM_BLOCK, n_perm - drawn)
-        z = np.zeros((n, width))
+        zt = np.zeros((width, n))
         for j in range(width):
             group_a = np.arange(na) if drawn < 0 else rng.permutation(n)[:na]
-            z[group_a, j] = 1.0
+            zt[j, group_a] = 1.0
             drawn += 1
-        yield z
+        yield zt
 
 
 def _distance_row_bands(pool: np.ndarray):
@@ -416,6 +432,20 @@ def _distance_row_bands(pool: np.ndarray):
     for lo in range(0, len(pool), _ENERGY_ROW_BAND):
         rows = pool[lo : lo + _ENERGY_ROW_BAND]
         yield lo, distance_matrix(rows, pool, out=band[: len(rows)])
+
+
+def _within_sums(lo: int, band: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """The share of the rows ``lo:lo + len(band)`` of the symmetric D in ``z^T D z``,
+    for every row z of ``zt``.
+
+    Only the band's columns from ``lo`` on enter, those right of its diagonal
+    block doubled (in ``band``, exactly), so the shares of all bands add up to
+    each within-A sum with half the products of the full bands.
+    """
+    hi = lo + len(band)
+    upper = band[:, lo:]
+    upper[:, hi - lo :] *= 2.0
+    return np.einsum("ij,ji->j", upper @ zt[:, lo:].T, zt[:, lo:hi])
 
 
 def energy_permutation_test(
@@ -438,30 +468,28 @@ def energy_permutation_test(
     nb = len(pool) - na
     blocks = _energy_indicator_blocks(len(pool), na, n_perm, rng)
     first = next(blocks)
-    # one pass gives the row sums, the within-A block and the first block's products
+    # one pass gives the row sums, the within-A block and the first block's sums
     row_sums = np.empty(len(pool))
     dist_aa = np.empty((na, na))
-    dist_first = np.empty_like(first)
+    within = np.zeros(len(first))
     for lo, band in _distance_row_bands(pool):
         row_sums[lo : lo + len(band)] = band.sum(axis=1)
         if lo < na:
             dist_aa[lo : lo + len(band)] = band[: na - lo, :na]
-        dist_first[lo : lo + len(band)] = band @ first
+        within += _within_sums(lo, band, first)
     total = row_sums.sum()
     # the sums a direct computation forms from the full matrix, in the same order
     observed = _energy_from_sums(dist_aa.sum(), row_sums[:na].sum(), total, na, nb)
 
-    def block_stats(z, dist_z):
-        return _energy_from_sums(np.einsum("ij,ij->j", z, dist_z), row_sums @ z, total, na, nb)
+    def block_stats(zt, within):
+        return _energy_from_sums(within, zt @ row_sums, total, na, nb)
 
-    stats = block_stats(first, dist_first)
-    kernel_obs = stats[0]  # column 0 is the identity labelling
+    stats = block_stats(first, within)
+    kernel_obs = stats[0]  # row 0 is the identity labelling
     exceed = int(np.count_nonzero(stats[1:] >= kernel_obs))
-    for z in blocks:
-        dist_z = np.empty_like(z)
-        for lo, band in _distance_row_bands(pool):
-            dist_z[lo : lo + len(band)] = band @ z
-        exceed += int(np.count_nonzero(block_stats(z, dist_z) >= kernel_obs))
+    for zt in blocks:
+        within = sum(_within_sums(lo, band, zt) for lo, band in _distance_row_bands(pool))
+        exceed += int(np.count_nonzero(block_stats(zt, within) >= kernel_obs))
     p_value = (1.0 + exceed) / (1.0 + n_perm)
     return float(observed), float(p_value), int(min(na, len(keep_b)))
 

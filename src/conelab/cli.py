@@ -628,6 +628,8 @@ def cmd_sample(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("sample requires a 'distribution' object with a 'type'")
     n = _count(cfg, "n", "config", 1000)
     output = _text(cfg, "output", "draws.csv")
+    if output in ("", "..") or Path(output).name != output:  # "." has the name ""
+        raise ConfigError(f"'output' must be a file name with no directory part, got {output!r}")
     frame = standard_frame(algebra)
     a = _element_from_config(dist, "a", "e", algebra, "distribution")
     if dist["type"] == "wishart":

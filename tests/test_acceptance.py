@@ -359,6 +359,7 @@ def test_criterion_08_sampler_validity():
 
 @pytest.mark.slow
 def test_criterion_09_rotation_invariance_dichotomy():
+    start = time.time()
     a = alg.sym_real(2)
     frame = alg.standard_frame(a)
     scale = alg.from_matrix(a, np.array([[1.2, 0.2], [0.2, 0.9]]))
@@ -375,13 +376,14 @@ def test_criterion_09_rotation_invariance_dichotomy():
         rz, rz, wt, np.random.default_rng(910), n=5000,
         n_rotations=20, n_perm=199, max_points=1250,
     )
+    elapsed = time.time() - start
     ok = rep_w.n_reject <= 2 and rep_r.n_reject >= 14
     verdict(
         9,
         ok,
         f"rotation invariance at p<0.01, 20 rotations, n=5000: quadratic/Wishart "
         f"rejects {rep_w.n_reject}/20 (<=2), triangular/Riesz rejects "
-        f"{rep_r.n_reject}/20 (>=14)",
+        f"{rep_r.n_reject}/20 (>=14); {elapsed:.1f}s",
     )
 
 

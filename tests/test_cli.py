@@ -409,6 +409,20 @@ def test_sample_writes_csv(tmp_path):
     assert (out / "draws.csv").read_bytes() == (out2 / "draws.csv").read_bytes()
 
 
+@pytest.mark.parametrize("output", ["absolute", "../escaped.csv", "sub/draws.csv"])
+def test_sample_output_must_be_a_bare_file_name(tmp_path, capsys, output):
+    """An absolute output, or one with a directory part, exits 2 and writes nothing."""
+    if output == "absolute":
+        output = str(tmp_path / "absolute.csv")
+    cfg = write_config(
+        tmp_path, name="sample.json", n=5, output=output,
+        distribution={"type": "riesz", "s": [2.0, 1.5], "a": "e"},
+    )
+    assert cli.main(["sample", str(cfg), "--out", str(tmp_path / "samples")]) == 2
+    assert "'output' must be a file name" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_sample_rejects_unknown_distribution(tmp_path):
     cfg = write_config(tmp_path, name="s.json", distribution={"type": "gauss"})
     assert cli.main(["sample", str(cfg)]) == 2

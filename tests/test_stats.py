@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -348,28 +349,98 @@ def test_energy_kernel_computes_the_pooled_distances_once_per_block(monkeypatch,
 
 @pytest.mark.parametrize("n_perm", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
 def test_energy_indicator_blocks_are_bounded(n_perm):
-    """Indicator blocks never exceed the fixed width, whatever n_perm is, and
-    hold the identity labelling followed by the permutations in stream order."""
+    """Indicator blocks (one contiguous row per labelling) never exceed the fixed
+    height, whatever n_perm is, and hold the identity labelling followed by the
+    permutations in stream order."""
     n, na = 30, 12
     rng = np.random.default_rng(3)
     ref_rng = np.random.default_rng(3)
     blocks = []
-    for z in _stats._energy_indicator_blocks(n, na, n_perm, rng):
+    for zt in _stats._energy_indicator_blocks(n, na, n_perm, rng):
         # permutations are drawn per block, as the blocks are consumed
-        for _ in range(z.shape[1] - (not blocks)):
+        for _ in range(zt.shape[0] - (not blocks)):
             ref_rng.permutation(n)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        blocks.append(z)
-    assert all(z.shape[0] == n and 1 <= z.shape[1] <= BLOCK for z in blocks)
-    z = np.hstack(blocks)
-    assert z.shape == (n, n_perm + 1)
-    assert np.array_equal(z.sum(axis=0), np.full(n_perm + 1, na))
-    assert np.array_equal(np.flatnonzero(z[:, 0]), np.arange(na))
+        assert zt.flags.c_contiguous
+        blocks.append(zt)
+    assert all(zt.shape[1] == n and 1 <= zt.shape[0] <= BLOCK for zt in blocks)
+    zt = np.vstack(blocks)
+    assert zt.shape == (n_perm + 1, n)
+    assert np.array_equal(zt.sum(axis=1), np.full(n_perm + 1, na))
+    assert np.array_equal(np.flatnonzero(zt[0]), np.arange(na))
     ref_rng = np.random.default_rng(3)
     for j in range(1, n_perm + 1):
         want = np.sort(ref_rng.permutation(n)[:na])
-        assert np.array_equal(np.flatnonzero(z[:, j]), want)
+        assert np.array_equal(np.flatnonzero(zt[j]), want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# Pooled sizes around the 128-row distance bands, permutation counts around the
+# 256-labelling indicator blocks.
+ENERGY_POOLS = [127, 128, 129, 255, 257]
+ENERGY_PERMS = [0, 1, 255, 256, 257]
+
+
+def energy_case(index):
+    """Data of case ``index``: pooled sizes at the band edges (after subsampling),
+    dims 1 to 9, equal and unequal groups, some subsampled, some with repeated
+    rows or a constant group, and shifts from none to clear."""
+    rng = np.random.default_rng(5000 + index)
+    pooled = ENERGY_POOLS[index % 5]
+    n_perm = ENERGY_PERMS[(index // 5) % 5]
+    dim = 1 + index % 9
+    na = (pooled // 2, pooled // 3, pooled - pooled // 3)[index % 3]
+    nb = pooled - na
+    max_points = max(na, nb)
+    extra = 17 * (index % 4 == 1)  # the larger group (or both, when equal) subsampled
+    a = rng.standard_normal((na + extra * (na == max_points), dim))
+    b = rng.standard_normal((nb + extra * (nb == max_points), dim))
+    b += (0.0, 0.1, 0.5)[(index // 3) % 3]
+    if index % 7 == 3:  # rows repeated from a few distinct ones
+        base = rng.standard_normal((9, dim))
+        a = base[rng.integers(0, 9, size=len(a))]
+    if index % 11 == 5:
+        b[:] = 0.25
+    return (a, b), n_perm, max_points
+
+
+@pytest.mark.parametrize("index", range(50))
+def test_energy_kernel_matches_the_reference_sweep(index):
+    """The upper-band within-A sums give the (stat, p, n_used) and generator state of
+    the direct loop over the full distance matrix."""
+    data, n_perm, max_points = energy_case(index)
+    assert_same_test(
+        _stats.energy_permutation_test, reference_energy_permutation_test,
+        index, data, n_perm, max_points,
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("pooled", [128, 129, 257])
+def test_energy_kernel_matches_the_reference_on_integer_distances(dim, pooled):
+    """Points on one axis at two integer positions: every distance and sum is
+    exact, and 12-73 of the 257 labellings tie the observed one exactly; both
+    count them all."""
+    rng = np.random.default_rng(pooled + dim)
+    points = np.zeros((pooled, dim))
+    points[:, 0] = rng.integers(0, 2, size=pooled)
+    na = pooled // 2
+    data = (points[:na], points[na:])
+    assert_same_test(
+        _stats.energy_permutation_test, reference_energy_permutation_test,
+        dim, data, 257, pooled - na,
+    )
+
+
+def test_energy_kernel_matches_the_reference_on_a_constant_pool():
+    """All distances are 0: every labelling ties the observed statistic."""
+    data = (np.full((70, 3), 2.0), np.full((60, 3), 2.0))
+    assert_same_test(
+        _stats.energy_permutation_test, reference_energy_permutation_test,
+        4, data, 256, 100,
+    )
+    rng = np.random.default_rng(4)
+    assert _stats.energy_permutation_test(*data, 256, rng, max_points=100) == (0.0, 1.0, 60)
 
 
 # The dcor permutations are scored on a thread pool.  Every permutation's
@@ -382,33 +453,77 @@ PERMUTED_COVARIANCE = _stats._permuted_covariance
 
 def pooled_dcor_test(monkeypatch, workers, data, n_perm, max_points, seed=6):
     """Run the dcor test on ``workers`` threads, forced whatever the CPU count;
-    returns (result, generator state, names of the threads that scored)."""
+    returns (result, generator state, names of the threads that built the
+    distance matrices and of those that scored)."""
     monkeypatch.setattr(_stats, "_pool_workers", lambda: workers)
-    names = set()
+    names = {"distances": set(), "scores": set()}
+
+    def recording_distances(x, y=None, out=None, distance_matrix=_stats.distance_matrix):
+        names["distances"].add(threading.current_thread().name)
+        return distance_matrix(x, y, out)
 
     def recording(bands, b, perm, scratch):
-        names.add(threading.current_thread().name)
+        names["scores"].add(threading.current_thread().name)
         return PERMUTED_COVARIANCE(bands, b, perm, scratch)
 
+    monkeypatch.setattr(_stats, "distance_matrix", recording_distances)
     monkeypatch.setattr(_stats, "_permuted_covariance", recording)
     rng = np.random.default_rng(seed)
     got = _stats.dcor_permutation_test(*data, n_perm, rng, max_points=max_points)
+    monkeypatch.undo()
     return got, rng.bit_generator.state, names
 
 
-@pytest.mark.parametrize("n_perm", [0, 1, PERM_BLOCK, 2 * PERM_BLOCK + 3])
-def test_dcor_pool_matches_one_worker(monkeypatch, n_perm):
-    """Equal (stat, p, n_used) and generator state with 1 and 3 workers, across blocks."""
+def pool_data(m, coupling):
+    """m + 20 rows (subsampled to m), dependent through ``coupling``."""
     data_rng = np.random.default_rng(12)
-    x = data_rng.standard_normal((150, 2))
-    y = 0.15 * x + data_rng.standard_normal((150, 2))
-    inline, inline_state, inline_names = pooled_dcor_test(monkeypatch, 1, (x, y), n_perm, 130)
-    pooled, pooled_state, pooled_names = pooled_dcor_test(monkeypatch, 3, (x, y), n_perm, 130)
+    x = data_rng.standard_normal((m + 20, 2))
+    return x, coupling * x + data_rng.standard_normal((m + 20, 2))
+
+
+@pytest.mark.parametrize(
+    "m, coupling, n_perm",
+    [
+        (130, 0.15, 0),
+        (130, 0.15, 1),
+        (130, 0.15, PERM_BLOCK),
+        (130, 0.15, 2 * PERM_BLOCK + 3),
+        (600, 0.05, 2 * PERM_BLOCK + 3),
+        (1024, 0.03, PERM_BLOCK + 5),
+    ],
+)
+def test_dcor_pool_matches_one_worker(monkeypatch, m, coupling, n_perm):
+    """Equal (stat, p, n_used) and generator state with 1, 2 and 3 workers, across
+    blocks and at 600 and 1024 points (128-row bands); with more than one worker
+    the distance matrices are built on the pool."""
+    data = pool_data(m, coupling)
+    main = {threading.current_thread().name}
+    inline, inline_state, inline_names = pooled_dcor_test(monkeypatch, 1, data, n_perm, m)
+    assert inline_names == {"distances": main, "scores": main}
+    for workers in (2, 3):
+        pooled, pooled_state, pooled_names = pooled_dcor_test(monkeypatch, workers, data, n_perm, m)
+        assert pooled == inline
+        assert pooled_state == inline_state
+        if n_perm > 1:  # the distances and the permutations ran on the pool's threads
+            assert all(name.startswith("conelab-dcor") for name in pooled_names["distances"])
+            assert any(name.startswith("conelab-dcor") for name in pooled_names["scores"])
+
+
+def test_dcor_pool_with_fast_thread_switching_matches_one_worker(monkeypatch):
+    """With the interpreter switching threads every microsecond, four workers give
+    the one-worker result and generator state: no two tasks share a scratch buffer."""
+    data = pool_data(600, 0.02)  # p near 0.4: many permutations score near the observed one
+    n_perm = 2 * PERM_BLOCK + 3
+    inline, inline_state, _ = pooled_dcor_test(monkeypatch, 1, data, n_perm, 600)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled, pooled_state, names = pooled_dcor_test(monkeypatch, 4, data, n_perm, 600)
+    finally:
+        sys.setswitchinterval(interval)
     assert pooled == inline
     assert pooled_state == inline_state
-    assert inline_names == {threading.current_thread().name}
-    if n_perm > 1:  # the permutations ran on the pool's threads
-        assert any(name.startswith("conelab-dcor") for name in pooled_names)
+    assert any(name.startswith("conelab-dcor") for name in names["scores"])
 
 
 def test_dcor_pool_matches_one_worker_on_a_constant_sample(monkeypatch):
@@ -452,8 +567,11 @@ def test_pool_workers_without_an_affinity_call_are_the_cpu_count(monkeypatch, cp
     assert _stats._pool_workers() == workers
 
 
-@pytest.mark.parametrize("m, rows", [(1, 64), (64, 64), (256, 64), (257, 65), (600, 150), (1024, 256)])
-def test_band_rows_are_a_quarter_of_the_points_and_at_least_64(m, rows):
+@pytest.mark.parametrize(
+    "m, rows",
+    [(1, 64), (64, 64), (256, 64), (257, 65), (511, 128), (512, 128), (513, 128), (600, 128), (1024, 128)],
+)
+def test_band_rows_are_a_quarter_of_the_points_between_64_and_128(m, rows):
     assert _stats._band_rows(m) == rows
 
 
