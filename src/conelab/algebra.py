@@ -580,10 +580,11 @@ def is_idempotent(c: Element, tol: float = IDEMPOTENT_TOL) -> bool:
 class JordanFrame:
     """A complete system of primitive orthogonal idempotents, in a fixed order.
 
-    Hashable by identity.  Maps that depend on the frame alone (the
-    projections onto the leading subalgebras, the Peirce half spaces, the
-    strict-upper projections and half-space box tensors of the triangular
-    group) are built on first use and kept for the frame's lifetime.
+    Hashable by identity.  ``members`` holds the member coordinates as one
+    read-only (r, dim) array.  Maps that depend on the frame alone (the
+    Peirce half spaces and basis, the projections onto the leading
+    subalgebras and the box tensors of the triangular group) are built on
+    first use and kept for the frame's lifetime.
     """
 
     def __init__(self, elements, validate: bool = True, tol: float = IDEMPOTENT_TOL):
@@ -613,6 +614,8 @@ class JordanFrame:
                 raise ValidationError("frame members do not sum to the identity")
         self.elements = elements
         self.algebra = algebra
+        self.members = np.stack([c.coords for c in elements])
+        self.members.flags.writeable = False
         self._cache = {}
 
     def __len__(self) -> int:
@@ -623,19 +626,6 @@ class JordanFrame:
 
     def __getitem__(self, i):
         return self.elements[i]
-
-    def leading_projector(self, k: int) -> Endomorphism:
-        """Orthogonal projection onto the subalgebra determined by c_1 + .. + c_k."""
-        if not 1 <= k <= len(self.elements):
-            raise ValidationError(f"order k={k} outside 1..{len(self.elements)}")
-        return self.cached(("leading", k), lambda: quad_rep(self.partial_sum(0, k)))
-
-    def partial_sum(self, start: int, stop: int) -> Element:
-        """c_start + ... + c_(stop-1), an idempotent."""
-        u = zero(self.algebra)
-        for c in self.elements[start:stop]:
-            u = u + c
-        return u
 
     def cached(self, key, build):
         """The frame-only value stored under ``key``, computed by ``build()`` on first use."""
@@ -712,7 +702,7 @@ def apply_random_k(algebra: AlgebraDescriptor, coords: np.ndarray, rng: np.rando
 
 def _place_spectra(algebra: AlgebraDescriptor, lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Rows k_i(sum_j lam_ij c_j) over the standard frame, k_i Haar-random in K."""
-    return apply_random_k(algebra, lam @ np.array([c.coords for c in standard_frame(algebra)]), rng)
+    return apply_random_k(algebra, lam @ standard_frame(algebra).members, rng)
 
 
 def random_cone_points(

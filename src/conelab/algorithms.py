@@ -19,7 +19,7 @@ prepared batch (:meth:`MultiplicationAlgorithm.matrices`), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,14 +61,15 @@ class MultiplicationAlgorithm:
     one x row is broadcast over every y row.  A batch does not check y: the
     checked calls are :meth:`apply_batch` and :meth:`solve_batch`.  Calling
     the algorithm on one point is the one-row call of :meth:`matrices`.
-    ``spec`` names the algorithm in the form :func:`parse_algorithm` reads.
+    ``spec`` names the algorithm in the form :func:`parse_algorithm` reads;
+    ``frame`` is the frame its triangular and Riesz companions use.
     """
 
     spec: str
     algebra: AlgebraDescriptor
     prepare: Callable[[np.ndarray], object] = field(repr=False)
+    frame: JordanFrame
     homogeneous: bool = True
-    frame: Optional[JordanFrame] = None
 
     def __call__(self, x: Element) -> Endomorphism:
         require_in_cone(x, "multiplication algorithm argument")
@@ -119,7 +120,7 @@ class MultiplicationAlgorithm:
 
 
 def w1(algebra: AlgebraDescriptor) -> MultiplicationAlgorithm:
-    """The quadratic algorithm x -> P(x^{1/2}); g(x) = P(x^{-1/2})."""
+    """The quadratic algorithm x -> P(x^{1/2}); g(x) = P(x^{-1/2}).  It carries the standard frame."""
 
     def prepare(x: np.ndarray) -> RowMaps:
         power = batch_power_map(algebra, x)  # P(x^p) is read from the rows of x^p and x^2p
@@ -128,7 +129,7 @@ def w1(algebra: AlgebraDescriptor) -> MultiplicationAlgorithm:
             lambda y: batch_quad_rep(algebra, power(-0.5), power(-1.0), y),
         )
 
-    return MultiplicationAlgorithm(spec="w1", algebra=algebra, prepare=prepare, homogeneous=True)
+    return MultiplicationAlgorithm(spec="w1", algebra=algebra, prepare=prepare, frame=standard_frame(algebra))
 
 
 def w2(frame) -> MultiplicationAlgorithm:
@@ -139,7 +140,6 @@ def w2(frame) -> MultiplicationAlgorithm:
         spec="w2",
         algebra=frame.algebra,
         prepare=lambda x: batch_triangular_decompose(x, frame),
-        homogeneous=True,
         frame=frame,
     )
 
@@ -164,7 +164,6 @@ def interp(alpha: float, frame) -> MultiplicationAlgorithm:
         spec=f"interp:{alpha:g}",
         algebra=algebra,
         prepare=prepare,
-        homogeneous=True,
         frame=frame,
     )
 
@@ -224,7 +223,8 @@ def piecewise_det(frame) -> MultiplicationAlgorithm:
 def parse_algorithm(spec: str, algebra: AlgebraDescriptor, frame=None) -> MultiplicationAlgorithm:
     """Build an algorithm from its config string.
 
-    Recognized forms: "w1", "w2", "interp:<alpha>", "kext:<base>:<seed>".
+    Recognized forms: "w1", "w2", "interp:<alpha>" with a finite alpha and
+    "kext:<base>:<seed>" with a seed >= 0; ValidationError otherwise.
     """
     frame = frame if frame is not None else standard_frame(algebra)
     spec = spec.strip()
@@ -237,6 +237,8 @@ def parse_algorithm(spec: str, algebra: AlgebraDescriptor, frame=None) -> Multip
             alpha = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad interpolation parameter in {spec!r}") from exc
+        if not np.isfinite(alpha):
+            raise ValidationError(f"non-finite interpolation parameter in {spec!r}")
         return interp(alpha, frame)
     if spec.startswith("kext:"):
         parts = spec.split(":")
@@ -247,6 +249,8 @@ def parse_algorithm(spec: str, algebra: AlgebraDescriptor, frame=None) -> Multip
             seed = int(parts[2])
         except ValueError as exc:
             raise ValidationError(f"bad seed in {spec!r}") from exc
+        if seed < 0:
+            raise ValidationError(f"negative seed in {spec!r}")
         k = random_automorphism_k(algebra, np.random.default_rng(seed))
         return k_extended(base, k, spec=spec)
     raise ValidationError(f"unknown algorithm spec {spec!r}")

@@ -340,7 +340,6 @@ def suite_distributions(algebra, algorithm, rng, n, tol):
 
 def suite_functional_eq(algebra, algorithm, rng, n, tol):
     checks = {}
-    frame = algorithm.frame if algorithm.frame is not None else standard_frame(algebra)
     pairs = draw_cone_pairs(algebra, n, rng)
     f_det = log_det_power(0.8, algebra)
     checks["logdet_residual"] = _check(
@@ -348,9 +347,9 @@ def suite_functional_eq(algebra, algorithm, rng, n, tol):
     )
     if algebra.rank >= 2:
         svec = np.linspace(2.0, 1.0, algebra.rank)
-        f_s = delta_s_log(svec, frame)
+        f_s = delta_s_log(svec, algorithm.frame)
         checks["delta_s_vs_triangular"] = _check(
-            wlog_residual(f_s, algorithms_w2(frame), pairs), tol["wlog"]
+            wlog_residual(f_s, algorithms_w2(algorithm.frame), pairs), tol["wlog"]
         )
         checks["delta_s_vs_quadratic"] = _check(
             wlog_residual(f_s, algorithms_w1(algebra), pairs),
@@ -382,7 +381,6 @@ def suite_functional_eq(algebra, algorithm, rng, n, tol):
 
 def suite_lukacs(algebra, algorithm, rng, n, tol):
     checks = {}
-    frame = algorithm.frame if algorithm.frame is not None else standard_frame(algebra)
     # the quotient map and its inverse (u, v) -> (w(v) u, v - w(v) u)
     x, y = draw_cone_pairs(algebra, min(n, 100), rng)
     checks["bijection"] = _check(bijection_residual(algorithm, x, y), tol["bijection"])
@@ -397,12 +395,12 @@ def suite_lukacs(algebra, algorithm, rng, n, tol):
         s1 = PowerExponent.of(shifts + nd_ratio + 0.8)
         s2 = PowerExponent.of(shifts + nd_ratio + 0.3)
         model_x, model_y, model_bad = (
-            riesz_model(RieszParams(s, scale, frame), algorithm)
+            riesz_model(RieszParams(s, scale, algorithm.frame), algorithm)
             for s, scale in ((s1, a), (s2, a), (s2, a_shift))
         )
     else:
         model_x, model_y, model_bad = (
-            wishart_model(WishartParams(nd_ratio + p, scale), algorithm, frame)
+            wishart_model(WishartParams(nd_ratio + p, scale), algorithm, algorithm.frame)
             for p, scale in ((1.2, a), (0.7, a), (0.7, a_shift))
         )
     pairs = draw_cone_pairs(algebra, 50, rng)
@@ -565,7 +563,6 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
         tol=float(_number(grid_cfg, "tol", "oracle.grid", 1e-6)),
     )
     family = oracle_cfg["family"]
-    frame = algorithm.frame if algorithm.frame is not None else standard_frame(algebra)
     if family == "wishart-form":
         lam = _element_from_config(oracle_cfg, "lambda", "minus_e", algebra, "oracle")
         kappa = _number(oracle_cfg, "kappa", "oracle", [0.7, 1.3])
@@ -575,8 +572,8 @@ def cmd_decompose(cfg: dict, out_dir: Path) -> int:
         f_fn = log_det_power(float(kappa[1]), algebra)
     elif family == "riesz-form":
         lam = _element_from_config(oracle_cfg, "lambda", "minus_e", algebra, "oracle")
-        e_fn = delta_s_log(_number(oracle_cfg, "s1", "oracle"), frame)
-        f_fn = delta_s_log(_number(oracle_cfg, "s2", "oracle"), frame)
+        e_fn = delta_s_log(_number(oracle_cfg, "s1", "oracle"), algorithm.frame)
+        f_fn = delta_s_log(_number(oracle_cfg, "s2", "oracle"), algorithm.frame)
     elif family == "zero":
         lam = Element(algebra, np.zeros(algebra.dim))
         e_fn = zero_fn(algebra)

@@ -46,7 +46,7 @@ from .algebra import (
 )
 from .errors import DomainError, ValidationError
 from .funceq import LogCauchyFn, delta_s_log, log_det_power
-from .peirce import PowerExponent, build_peirce_basis, exponent_vector, generalized_power_log
+from .peirce import PowerExponent, exponent_vector, generalized_power_log
 from .triangular import batch_frobenius, batch_triangular_decompose
 
 # ---------------------------------------------------------------------------
@@ -205,27 +205,24 @@ def sample_riesz(params: RieszParams, n: int, rng: np.random.Generator) -> Point
 
     The variates come from two calls on ``rng``.  ``rng.gamma`` fills an
     (n, r) array of diagonal entries alpha; then ``rng.standard_normal``
-    fills an (n, dim - r) array whose columns are the coordinates of
-    z_1, ..., z_(r-1) in the orthonormal bases of the subspaces E_jk,
-    k > j, in :func:`build_peirce_basis` order (j major, then k).  Block j
-    is scaled by alpha_j^(-1/2), and the Frobenius chain
+    fills an (n, dim - r) array of r - 1 blocks, block j of width
+    k_j = (r - 1 - j) d.  Block j, scaled by alpha_j^(-1/2), holds the
+    coordinates of z_j in the orthonormal rows of the subspaces E_jk, k > j
+    (:func:`~conelab.triangular.upper_rows`, in Peirce basis order), and is
+    passed to the Frobenius step as it is.  The chain
     tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) sum_k alpha_k c_k and then
     the scale map act on the whole batch.
     """
     algebra = params.algebra
     r = algebra.rank
     frame = params.frame
-    basis = build_peirce_basis(frame)
     alphas = rng.gamma(shape=gamma_shapes(params.s, algebra), size=(n, r))
     normals = rng.standard_normal((n, algebra.dim - r))
-    z_rows = [
-        np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)]) for j in range(r - 1)
-    ]
-    blocks = np.split(normals, np.cumsum([len(rows) for rows in z_rows])[:-1], axis=1)
-    y = alphas @ np.array([c.coords for c in frame])
+    widths = [(r - 1 - j) * algebra.peirce_d for j in range(r - 1)]
+    blocks = np.split(normals, np.cumsum(widths)[:-1], axis=1)
+    y = alphas @ frame.members
     for j in range(r - 2, -1, -1):
-        z = (blocks[j] / np.sqrt(alphas[:, j, None])) @ z_rows[j]
-        y = batch_frobenius(frame, j, z, y)
+        y = batch_frobenius(frame, j, blocks[j] / np.sqrt(alphas[:, j, None]), y)
     scale = _scale_matrix(params)
     if scale is not None:
         y = y @ scale.T

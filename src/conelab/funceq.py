@@ -24,7 +24,6 @@ from .algebra import (
     identity,
     norm,
     random_cone_points,
-    standard_frame,
 )
 from .algorithms import MultiplicationAlgorithm
 from .errors import FitError, InconsistencyError, ValidationError
@@ -34,6 +33,8 @@ FORM_LOG_DET_POWER = "log_det_power"
 FORM_DELTA_S_LOG = "delta_s_log"
 FORM_CUSTOM = "custom"
 FORM_ZERO = "zero"
+#: the rungs alpha -> 0 of the limiting construction of the decomposition, largest first
+ALPHA_LADDER = (0.5, 0.1, 0.02, 0.004)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +157,6 @@ class GridSpec:
     n_points: int = 2000
     low: float = 0.1
     high: float = 10.0
-    alpha_ladder: tuple = (0.5, 0.1, 0.02, 0.004)
     seed: int = 0
     tol: float = 1e-6
 
@@ -239,20 +239,18 @@ def make_olkin_baker_instance(
 
 
 def _richardson_limit(alphas: np.ndarray, values: np.ndarray):
-    """Quadratic extrapolation of each row of h(alpha) to alpha -> 0 on the trailing nodes.
+    """Quadratic extrapolation of each row of h(alpha) to alpha -> 0 on the four rungs of the ladder.
 
     ``values`` holds one row per point, one column per rung.  Returns, per
-    row, the order-2 extrapolant from the last three nodes and its
-    disagreement with the one from the previous window.
+    row, the order-2 extrapolant from the last three rungs and its
+    disagreement with the one from the first three.
     """
-    if len(alphas) < 3:
-        raise ValidationError("the ladder needs at least three rungs")
 
     def quad_at_zero(xs, ys):
         return np.polyfit(xs, ys.T, 2)[-1]
 
     last = quad_at_zero(alphas[-3:], values[:, -3:])
-    prev = quad_at_zero(alphas[-4:-1], values[:, -4:-1]) if len(alphas) >= 4 else last
+    prev = quad_at_zero(alphas[:3], values[:, :3])
     return last, np.abs(last - prev)
 
 
@@ -296,7 +294,7 @@ def olkin_baker_decompose(
     rng = np.random.default_rng(grid.seed)
     e = identity(algebra).coords[None, :]
     unit = w.unit_image()
-    frame = w.frame if w.frame is not None else standard_frame(algebra)
+    frame = w.frame
 
     n = grid.n_points
     xs, ys = draw_cone_pairs(algebra, n, rng, grid.low, grid.high)
@@ -364,7 +362,7 @@ def olkin_baker_decompose(
     c4_spread = _max_abs(c4_all[1:] - c4)
 
     # limiting construction along the ladder, kept as a diagnostic of d
-    ladder = np.asarray(grid.alpha_ladder, dtype=float)
+    ladder = np.array(ALPHA_LADDER)
     heads, tails = us[:8], vs[:4]
     rungs = (heads[:, None, :] * ladder[None, :, None]).reshape(-1, algebra.dim)
     h_vals = d(rungs).reshape(len(heads), len(ladder)) - k1 * np.log(ladder)

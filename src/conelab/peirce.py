@@ -105,38 +105,39 @@ class PeirceBasis:
 
 
 def _gram_schmidt_rows(candidates: np.ndarray, scale: float, expect: int) -> np.ndarray:
-    """Orthonormalize candidate coordinate rows (trace form) in deterministic order."""
+    """Orthonormalize candidate coordinate rows (trace form), the longest remaining one first
+    (the lowest index among equals); each row taken is swept out of the remaining candidates."""
+    rest = candidates.copy()
     rows = []
-    for cand in candidates:
-        v = cand.copy()
-        for b in rows:
-            v -= (scale * np.dot(b, v)) * b
+    while len(rows) < expect:
+        v = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
         length = np.sqrt(scale) * np.linalg.norm(v)
-        if length > 1e-8:
-            rows.append(v / length)
-        if len(rows) == expect:
+        if not length > 1e-8:
             break
+        rows.append(v / length)
+        rest -= np.outer(rest @ (scale * rows[-1]), rows[-1])
     return np.array(rows) if rows else np.zeros((0, candidates.shape[1]))
 
 
 def build_peirce_basis(frame) -> PeirceBasis:
-    """Split the algebra into the subspaces E_ij determined by a frame."""
+    """Split the algebra into the subspaces E_ij determined by a frame; cached on the frame."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
+    return frame.cached("peirce_basis", lambda: _peirce_basis(frame))
+
+
+def _peirce_basis(frame: JordanFrame) -> PeirceBasis:
     algebra = frame.algebra
     r = algebra.rank
     scale = algebra.inner_scale
     half = [half_projector(frame, j).matrix for j in range(r)]
     subspaces = {}
     total = 0
-    basis_eye = np.eye(algebra.dim)
     for i in range(r):
         subspaces[(i, i)] = frame[i].coords[None, :] / norm(frame[i])
         total += 1
         for j in range(i + 1, r):
-            proj = half[i] @ half[j]
-            candidates = (proj @ basis_eye).T
-            rows = _gram_schmidt_rows(candidates, scale, algebra.peirce_d)
+            rows = _gram_schmidt_rows((half[i] @ half[j]).T, scale, algebra.peirce_d)
             if rows.shape[0] != algebra.peirce_d:
                 raise ValidationError(
                     f"subspace ({i},{j}) has dimension {rows.shape[0]}, "
@@ -146,7 +147,20 @@ def build_peirce_basis(frame) -> PeirceBasis:
             total += algebra.peirce_d
     if total != algebra.dim:
         raise ValidationError("Peirce subspace dimensions do not sum to dim")
+    for rows in subspaces.values():
+        rows.flags.writeable = False
     return PeirceBasis(frame, subspaces)
+
+
+def leading_projector(frame: JordanFrame, k: int) -> np.ndarray:
+    """Projection onto the subalgebra of c_1 + ... + c_k, cached on the frame: the sum of
+    the projections onto the subspaces E_il, i <= l < k, of :func:`build_peirce_basis`."""
+
+    def build() -> np.ndarray:
+        basis = build_peirce_basis(frame)
+        return sum(basis.projector_matrix(i, l) for i in range(k) for l in range(i, k))
+
+    return frame.cached(("leading", k), build)
 
 
 def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
@@ -178,7 +192,6 @@ def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
     def inner(a, b):
         return algebra.inner_scale * np.sum(a * b, axis=1)
 
-    members = np.array([c.coords for c in basis.frame])
     nx = inner(x, x)
     x_sq = batch_jordan_product(algebra, x, x)
     xy = batch_jordan_product(algebra, x[: len(y)], y)
@@ -187,7 +200,7 @@ def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
         at = (ik_rows[:, 0] == i) & (ik_rows[:, 1] == k)
         outside[at] -= xy[at] @ basis.projector_matrix(i, k).T
     found = {
-        "square_identity": batch_norm(algebra, x_sq - 0.5 * nx[:, None] * members[ij].sum(axis=1)),
+        "square_identity": batch_norm(algebra, x_sq - 0.5 * nx[:, None] * basis.frame.members[ij].sum(axis=1)),
         "cross_norm_identity": np.abs(inner(xy, xy) - nx[: len(y)] * inner(y, y) / 8.0),
         "multiplication_table": batch_norm(algebra, outside),
     }
@@ -204,14 +217,14 @@ def _minor_rows(frame: JordanFrame, coords: np.ndarray, k: int) -> np.ndarray:
     """Delta_k of each row of an (n, dim) coordinate array, shape (n,).
 
     Delta_k is the subalgebra determinant of the projection onto the
-    subalgebra of c_1 + ... + c_k.  That projection has the subalgebra
+    subalgebra of c_1 + ... + c_k (:func:`leading_projector`).  That projection has the subalgebra
     spectrum plus r - k exact zeros, so Delta_k is the product of its k
     eigenvalues of largest absolute value.  Delta_r is the determinant; its
     projection, the identity, is skipped, since the rounded matrix would move
     the last bits.
     """
     if k < len(frame):
-        coords = coords @ frame.leading_projector(k).matrix.T
+        coords = coords @ leading_projector(frame, k).T
     lam = batch_eigenvalues(frame.algebra, coords)
     order = np.argsort(-np.abs(lam), axis=1, kind="stable")
     return np.take_along_axis(lam, order[:, :k], axis=1).prod(axis=1)

@@ -3,10 +3,12 @@
 The triangular group of a frame (c_1, ..., c_r) follows Faraut & Korányi,
 *Analysis on Symmetric Cones* (1994), ch. VI.  Each cone point x is t_x e for
 a unique t_x = tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k).
-The ``batch_*`` functions are the implementation: they work on (n, dim)
+z_j lies in the span of the subspaces E_jk, k > j, and is held as its
+coordinates in the frame's cached Peirce basis (:func:`upper_rows`).  The
+``batch_*`` functions are the implementation: they work on (n, dim)
 coordinate arrays and the frame's cached arrays; a Frobenius step is one
-contraction with the half-space box tensor of :func:`half_box`, with no
-Jordan product.  A :class:`TriangularBatch` holds one group element per
+contraction of those coordinates with the tensor of :func:`box_tensor`, with
+no Jordan product.  A :class:`TriangularBatch` holds one group element per
 row; :func:`triangular_decompose` of one :class:`~conelab.algebra.Element`
 is the one-row batch.  Only :func:`box_operator`,
 :func:`frobenius_transform` and :func:`as_endomorphism` build their maps as
@@ -32,7 +34,6 @@ from .algebra import (
     lmap,
     quad_rep,
     random_cone_points,
-    zero,
 )
 from .errors import DomainError, ValidationError
 from .peirce import batch_generalized_power_log, build_peirce_basis, half_projector, peirce_projectors
@@ -62,21 +63,6 @@ def frobenius_transform(c: Element, z: Element, half: Endomorphism | None = None
     return Endomorphism(c.algebra, eye + n + 0.5 * (n @ n))
 
 
-def strict_upper_projector(frame: JordanFrame, j: int) -> Endomorphism:
-    """Projection onto the span of E_jk for k > j, within the trailing subalgebra.
-
-    Cached on the frame.
-    """
-
-    def build() -> Endomorphism:
-        tail = frame.partial_sum(j + 1, len(frame))
-        half_j = half_projector(frame, j).matrix
-        half_tail_one = quad_rep(tail).matrix + peirce_projectors(tail)[0.5].matrix
-        return Endomorphism(frame.algebra, half_j @ half_tail_one)
-
-    return frame.cached(("strict_upper", j), build)
-
-
 def triangular_decompose(x: Element, frame) -> TriangularBatch:
     """Unique t in the triangular group of the frame with t e = x, as the one-row
     :func:`batch_triangular_decompose`.  DomainError when x is outside the cone."""
@@ -91,12 +77,9 @@ def as_endomorphism(t: TriangularBatch) -> Endomorphism:
     """The group element of row 0 of t: composed Frobenius maps times P(sum sqrt(alpha_k) c_k)."""
     frame = t.frame
     algebra = frame.algebra
-    diag = zero(algebra)
-    for a, c in zip(t.diagonal[0], frame):
-        diag = diag + float(np.sqrt(a)) * c
-    out = quad_rep(diag).matrix
+    out = quad_rep(Element(algebra, np.sqrt(t.diagonal[0]) @ frame.members)).matrix
     for j in range(len(frame) - 2, -1, -1):
-        z = Element(algebra, t.frobenius_params[j][0])
+        z = Element(algebra, t.frobenius_params[j][0] @ upper_rows(frame, j))
         out = frobenius_transform(frame[j], z, half_projector(frame, j)).matrix @ out
     return Endomorphism(algebra, out)
 
@@ -107,12 +90,11 @@ def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> di
     Keys: ``roundtrip`` |t_x e - x| / |x|; ``power_cocycle``, the defect of
     log Delta_s(t_x y) = log Delta_s(t_x e) + log Delta_s(y); from rank 2 on,
     ``frobenius_unit_power`` |log Delta_s(tau_{c_i}(z) e)| and
-    ``box_nilpotency`` max |N^3| for N = 2 z box c_i, z in the span of E_ik, k > i.
-    One pass over (n, dim) arrays; the samples with the same index i share
-    one Frobenius call and read their N from the tensor of :func:`half_box`.
+    ``box_nilpotency`` max |N^3| for N = 2 z box c_i, z in the span of E_ik, k > i
+    with standard Gaussian coordinates in :func:`upper_rows`.  One pass over
+    (n, dim) arrays; the samples with the same index i share one Frobenius
+    call and read their N from the tensor of :func:`box_tensor`.
     """
-    basis = build_peirce_basis(frame)
-    frame = basis.frame
     algebra, r, dim = frame.algebra, len(frame), frame.algebra.dim
     x = random_cone_points(algebra, n, rng, 0.1, 10.0)
     y = random_cone_points(algebra, n, rng, 0.2, 5.0)
@@ -125,12 +107,10 @@ def triangular_identity_residuals(frame, n: int, rng: np.random.Generator) -> di
         index = rng.integers(0, r - 1, n)
         gauss = rng.standard_normal((n, (r - 1) * algebra.peirce_d))
         for j in range(r - 1):
-            rows = np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)])
             at = index == j
-            z = gauss[at, : len(rows)] @ rows
-            unit[at] = batch_frobenius(frame, j, z, e[at])
-            half, tensor = half_box(frame, j)
-            mats = np.einsum("nc,acb->nab", z @ half.T, tensor.reshape(dim, len(half), dim))
+            coef = gauss[at, : (r - 1 - j) * algebra.peirce_d]
+            unit[at] = batch_frobenius(frame, j, coef, e[at])
+            mats = np.einsum("nc,acb->nab", coef, box_tensor(frame, j).reshape(dim, coef.shape[1], dim))
             cube[at] = np.max(np.abs(mats @ mats @ mats).reshape(-1, dim * dim), axis=1)
     logs = batch_generalized_power_log(frame, np.concatenate((ty, te, y, unit)), np.tile(s, (4, 1)))
     log_ty, log_te, log_y, log_unit = logs.reshape(4, n)
@@ -170,10 +150,24 @@ def _lmap_t(frame: JordanFrame, j: int) -> np.ndarray:
     return frame.cached(("lmap", j), lambda: lmap(frame[j])).matrix.T
 
 
+def upper_rows(frame: JordanFrame, j: int) -> np.ndarray:
+    """The (k_j, dim) orthonormal rows of the subspaces E_jk, k > j, k_j = (r - 1 - j) d,
+    of :func:`~conelab.peirce.build_peirce_basis`; cached on the frame, read-only.
+    The Frobenius parameter z_j is held as coordinates coef with z_j = coef @ upper_rows."""
+
+    def build() -> np.ndarray:
+        basis = build_peirce_basis(frame)
+        rows = np.reshape([basis.subspaces[(j, k)] for k in range(j + 1, len(frame))], (-1, frame.algebra.dim))
+        rows.flags.writeable = False
+        return rows
+
+    return frame.cached(("upper", j), build)
+
+
 def box_rows(frame: JordanFrame, j: int, z: np.ndarray, zc: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows of (z_i box c_j) v_i = (z c) v + z (c v) - c (z v), given the rows zc = z L(c_j).
 
-    Products with c go through the frame's cached L(c_j); only :func:`half_box` calls it.
+    Products with c go through the frame's cached L(c_j); only :func:`box_tensor` calls it.
     """
     algebra = frame.algebra
     lc_t = _lmap_t(frame, j)
@@ -184,40 +178,36 @@ def box_rows(frame: JordanFrame, j: int, z: np.ndarray, zc: np.ndarray, v: np.nd
     )
 
 
-def half_box(frame: JordanFrame, j: int) -> tuple:
-    """The frame-only arrays ``(basis, tensor)`` of N = 2 z box c_j, cached on the frame.
+def box_tensor(frame: JordanFrame, j: int) -> np.ndarray:
+    """The (dim, k_j*dim) tensor of N = 2 z box c_j over :func:`upper_rows`, cached on the frame.
 
-    ``basis`` is a (k, dim) orthonormal basis b_1, ..., b_k of the Peirce half
-    space V_{1/2}(c_j), k = (r - 1) d, from :func:`half_projector`.  Block c
-    of the (dim, k*dim) ``tensor`` is the row map v -> 2 (b_c box c_j) v, from
-    :func:`box_rows` on the k*dim basis pairs.  Built on first use, read-only.
+    Block c is the row map v -> 2 (b_c box c_j) v for the row b_c of
+    ``upper_rows(frame, j)``, from :func:`box_rows` on the k_j*dim basis
+    pairs.  Built on first use, read-only.
     """
 
-    def build() -> tuple:
-        eigval, eigvec = np.linalg.eigh(half_projector(frame, j).matrix)
-        basis = np.ascontiguousarray(eigvec[:, eigval > 0.5].T)
-        k, dim = basis.shape
-        z = np.repeat(basis, dim, axis=0)
-        rows = 2.0 * box_rows(frame, j, z, z @ _lmap_t(frame, j), np.tile(np.eye(dim), (k, 1)))
-        tensor = np.ascontiguousarray(rows.reshape(k, dim, dim).transpose(1, 0, 2).reshape(dim, k * dim))
-        basis.flags.writeable = tensor.flags.writeable = False
-        return basis, tensor
+    def build() -> np.ndarray:
+        rows = upper_rows(frame, j)
+        k, dim = rows.shape
+        z = np.repeat(rows, dim, axis=0)
+        out = 2.0 * box_rows(frame, j, z, z @ _lmap_t(frame, j), np.tile(np.eye(dim), (k, 1)))
+        tensor = np.ascontiguousarray(out.reshape(k, dim, dim).transpose(1, 0, 2).reshape(dim, k * dim))
+        tensor.flags.writeable = False
+        return tensor
 
-    return frame.cached(("half_box", j), build)
+    return frame.cached(("box", j), build)
 
 
-def batch_frobenius(frame: JordanFrame, j: int, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def batch_frobenius(frame: JordanFrame, j: int, coef: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows of tau_{c_j}(z_i) y_i = y + N y + N^2 y / 2 with N = 2 z box c_j.
 
-    ``z`` holds (n, dim) rows in the half space V_{1/2}(c_j), read through
-    their coordinates in the :func:`half_box` basis: a component outside that
-    space is dropped.  N v contracts those coordinates with v @ tensor.
-    ``y`` is (n, dim), or (..., n, dim) for stacks of n rows; a stack is
-    contracted as one batch of rows, with the coordinates repeated per slice.
+    ``coef`` is (n, k_j): the coordinates of the z_i in :func:`upper_rows`.
+    N v contracts them with v @ :func:`box_tensor`.  ``y`` is (n, dim), or
+    (..., n, dim) for stacks of n rows; a stack is contracted as one batch
+    of rows, with the coordinates repeated per slice.
     """
-    basis, tensor = half_box(frame, j)
-    k, dim = basis.shape
-    coef = z @ basis.T
+    tensor = box_tensor(frame, j)
+    k, dim = coef.shape[-1], frame.algebra.dim
     shape = y.shape
     if len(shape) > 2:
         coef = np.broadcast_to(coef, shape[:-1] + (k,)).reshape(-1, k)
@@ -237,8 +227,9 @@ class TriangularBatch:
     Row i stands for tau_{c_1}(z_1) ... tau_{c_(r-1)}(z_(r-1)) P(sum_k sqrt(alpha_k) c_k)
     with z_j in the span of the subspaces E_jk, k > j.  ``diagonal`` is (n, r),
     the alpha_k row by row; ``frobenius_params`` holds r - 1 arrays of shape
-    (n, dim), the z_j row by row.  ``apply`` and ``solve`` take (n, dim) rows
-    y, or (..., n, dim) stacks of them; a one-row batch acts on any number of rows.
+    (n, k_j), the coordinates of the z_j in :func:`upper_rows`, row by row.
+    ``apply`` and ``solve`` take (n, dim) rows y, or (..., n, dim) stacks of
+    them; a one-row batch acts on any number of rows.
     """
 
     frame: JordanFrame
@@ -261,15 +252,15 @@ class TriangularBatch:
 
 def _batch_diagonal(frame: JordanFrame, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows of P(sum_k beta_ik c_k) y_i for beta of shape (n, r)."""
-    members = np.array([c.coords for c in frame])
-    return batch_quad_rep(frame.algebra, beta @ members, (beta * beta) @ members, y)
+    return batch_quad_rep(frame.algebra, beta @ frame.members, (beta * beta) @ frame.members, y)
 
 
 def batch_triangular_decompose(x: np.ndarray, frame: JordanFrame) -> TriangularBatch:
     """The unique t_i with t_i e = x_i for every row of x; DomainError when a row leaves the cone.
 
     Step j reads alpha_j = <work, c_j> and z_j = S_j work / alpha_j, with S_j
-    the frame's :func:`strict_upper_projector`, then sets
+    the projection onto the span of E_jk, k > j, as the coordinates
+    <work, b> / alpha_j in the rows b of :func:`upper_rows`, then sets
     work <- tau_{c_j}(-z_j) work.  A row lies in the cone exactly when every
     alpha_j is positive.
     """
@@ -284,8 +275,8 @@ def batch_triangular_decompose(x: np.ndarray, frame: JordanFrame) -> TriangularB
             raise DomainError("batch contains points outside the cone")
         if j == r - 1:
             break
-        z = (work @ strict_upper_projector(frame, j).matrix.T) / alphas[:, j, None]
-        zs.append(z)
-        work = batch_frobenius(frame, j, -z, work)
+        coef = algebra.inner_scale * (work @ upper_rows(frame, j).T) / alphas[:, j, None]
+        zs.append(coef)
+        work = batch_frobenius(frame, j, -coef, work)
     return TriangularBatch(frame, tuple(zs), alphas)
 

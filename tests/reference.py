@@ -6,7 +6,10 @@ Elements, so a test can compare a batch row by row with an independent
 path: the quotient map (x, y) -> (g(x+y) x, x+y), w(x) y, the Peirce
 projections and norm identities (Faraut & Korányi, *Analysis on Symmetric
 Cones*, ch. IV), the generalized power Delta_s (ch. VI) and the spectral
-power x^alpha.  ``peirce_identity_residuals_per_sample`` is the
+power x^alpha.  The frame maps of the triangular group and of the minors,
+S_j and the leading projections, are built here from ``quad_rep`` and
+``peirce_projectors`` of sums of frame members, apart from the Peirce basis
+the library reads them from.  ``peirce_identity_residuals_per_sample`` is the
 sample-by-sample form of :func:`conelab.peirce.peirce_identity_residuals`
 and makes the same generator calls in the same order.
 """
@@ -109,3 +112,25 @@ def peirce_identity_residuals_per_sample(frame, n: int, rng) -> dict:
             found["cross_norm_identity"].append(cross)
             found["multiplication_table"].append(alg.norm(xy - project(basis, xy, i, k)))
     return {key: float(np.max(values)) for key, values in found.items()}
+
+
+def member_sum(frame, start: int, stop: int):
+    """c_start + ... + c_(stop-1), an idempotent."""
+    out = alg.zero(frame.algebra)
+    for c in frame.elements[start:stop]:
+        out = out + c
+    return out
+
+
+def leading_projector(frame, k: int):
+    """P(c_1 + ... + c_k): the projection onto the subalgebra of the first k frame members."""
+    return alg.quad_rep(member_sum(frame, 0, k))
+
+
+def strict_upper_projector(frame, j: int):
+    """S_j, the projection onto the span of E_jk for k > j: the half space of c_j
+    intersected with the eigenvalue-1 and half spaces of c_(j+1) + ... + c_r."""
+    tail = member_sum(frame, j + 1, len(frame))
+    half_j = peirce.peirce_projectors(frame[j])[0.5].matrix
+    half_tail_one = alg.quad_rep(tail).matrix + peirce.peirce_projectors(tail)[0.5].matrix
+    return alg.Endomorphism(frame.algebra, half_j @ half_tail_one)

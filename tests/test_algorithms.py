@@ -283,9 +283,22 @@ def test_parse_algorithm_specs():
     wk2 = ma.parse_algorithm("kext:w2:17", a)
     x = alg.random_cone_element(a, np.random.default_rng(1))
     assert_allclose(wk(x).matrix, wk2(x).matrix)
-    for bad in ("w3", "interp:x", "kext:w1", "kext:w1:seed"):
+    for bad in ("w3", "interp:x", "interp:nan", "interp:-inf", "kext:w1", "kext:w1:seed", "kext:w2:-1"):
         with pytest.raises(ValidationError):
             ma.parse_algorithm(bad, a)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1)], ids=lambda a: a.name)
+def test_every_algorithm_carries_a_frame(a):
+    """w1 and its extensions carry the standard frame; the others carry the frame they are built on."""
+    standard = alg.standard_frame(a)
+    for spec in ("w1", "w2", "interp:0.25", "kext:w1:3", "kext:w2:3"):
+        assert ma.parse_algorithm(spec, a).frame is standard, spec
+    assert ma.w1(a).frame is standard
+    rot = alg.random_automorphism_k(a, np.random.default_rng(7))
+    rotated = alg.JordanFrame(tuple(rot.apply(c) for c in standard))
+    for w in (ma.w2(rotated), ma.interp(0.25, rotated), ma.piecewise_det(rotated), ma.k_extended(ma.w2(rotated), rot)):
+        assert w.frame is rotated, w.spec
 
 
 def batch_algorithms(a):

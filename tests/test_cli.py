@@ -324,6 +324,11 @@ def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
         ("decompose", {"oracle": {"family": "zero", "grid": {"n_points": 200.5}}}),
         ("decompose", {"oracle": {"family": "wishart-form", "kappa": 0.7}}),
         ("decompose", {"oracle": {"family": "wishart-form", "kappa": [0.7]}}),
+    ]
+    + [
+        (command, {"algorithm": spec, "suites": ["mult-alg"], "oracle": {"family": "zero"}})
+        for command in ("run", "decompose")
+        for spec in ("interp:nan", "interp:inf", "interp:-inf", "kext:w2:-1", "kext:w1:-7")
     ],
     ids=[
         "csv-without-path",
@@ -350,10 +355,18 @@ def test_decompose_rejects_malformed_oracle_csv(tmp_path, capsys, bad_row):
         "fractional-grid-size",
         "scalar-kappa",
         "one-entry-kappa",
+    ]
+    + [
+        f"{command}-{spec}"
+        for command in ("run", "decompose")
+        for spec in ("interp:nan", "interp:inf", "interp:-inf", "kext:w2:-1", "kext:w1:-7")
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides):
-    """Missing keys and non-finite numbers exit 2 with one error line, not a traceback."""
+    """Missing keys and non-finite numbers exit 2 with one error line, not a traceback.
+
+    An algorithm spec with a non-finite interpolation parameter or a negative
+    kext seed ran to NaN residuals, points outside the cone or a numpy traceback."""
     overrides = json.loads(json.dumps(overrides).replace("{tmp}", str(tmp_path)))
     cfg = write_config(tmp_path, name="malformed.json", **overrides)
     assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -414,22 +414,21 @@ def listed_riesz_reference(params, n, rng):
     """The draws as a list of Elements, one per row of the batched Frobenius chain.
 
     This is the sampler before it returned a batch; it reads the same
-    variates, in the same order, as :func:`dist.sample_riesz`, and applies
+    variates, in the same order, as :func:`dist.sample_riesz`, passes block j
+    of the normals, scaled, as the coordinates of z_j, and applies
     the same scale matrix (held to the scalar group element by
     :func:`test_scale_matrix_is_the_group_element_sending_e_to_the_inverse_scale`).
     """
     a = params.algebra
     r = a.rank
     frame = params.frame
-    basis = peirce.build_peirce_basis(frame)
     alphas = rng.gamma(shape=dist.gamma_shapes(params.s, a), size=(n, r))
     normals = rng.standard_normal((n, a.dim - r))
-    z_rows = [np.vstack([basis.subspaces[(j, k)] for k in range(j + 1, r)]) for j in range(r - 1)]
-    blocks = np.split(normals, np.cumsum([len(rows) for rows in z_rows])[:-1], axis=1)
+    widths = [len(tri.upper_rows(frame, j)) for j in range(r - 1)]
+    blocks = np.split(normals, np.cumsum(widths)[:-1], axis=1)
     y = alphas @ np.array([c.coords for c in frame])
     for j in range(r - 2, -1, -1):
-        z = (blocks[j] / np.sqrt(alphas[:, j, None])) @ z_rows[j]
-        y = tri.batch_frobenius(frame, j, z, y)
+        y = tri.batch_frobenius(frame, j, blocks[j] / np.sqrt(alphas[:, j, None]), y)
     if np.max(np.abs(params.a.coords - alg.identity(a).coords)) >= 1e-14:
         y = y @ dist._scale_matrix(params).T
     return [alg.Element(a, row) for row in y]

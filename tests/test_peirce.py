@@ -73,7 +73,10 @@ def test_peirce_projectors_reject_non_idempotent():
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)
 def test_build_peirce_basis_dimensions(a):
-    basis = peirce.build_peirce_basis(alg.standard_frame(a))
+    frame = alg.standard_frame(a)
+    basis = peirce.build_peirce_basis(frame)
+    assert peirce.build_peirce_basis(frame) is basis  # built once per frame
+    assert not any(rows.flags.writeable for rows in basis.subspaces.values())
     for i in range(a.rank):
         assert basis.subspaces[(i, i)].shape[0] == 1
         for j in range(i + 1, a.rank):
@@ -92,6 +95,25 @@ def test_build_peirce_basis_random_frame(rng):
     for rows in basis.subspaces.values():
         gram = a.inner_scale * rows @ rows.T
         assert_allclose(gram, np.eye(rows.shape[0]), atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "a", [alg.sym_real(3), alg.sym_real(8), alg.herm_complex(6), alg.lorentz(16)], ids=lambda a: a.name
+)
+def test_peirce_basis_of_a_rotated_frame_is_orthonormal_at_round_off(a, seed):
+    """The stacked rows of every E_ij are orthonormal, and each E_ij lies in the product of
+    the Peirce half projections of c_i and c_j, to 1e-14; the triangular group reads its
+    Frobenius parameters as coordinates in these rows."""
+    rot = alg.random_automorphism_k(a, np.random.default_rng(seed))
+    frame = alg.JordanFrame(tuple(rot.apply(c) for c in alg.standard_frame(a)))
+    basis = peirce.build_peirce_basis(frame)
+    rows = np.concatenate(list(basis.subspaces.values()))
+    assert np.max(np.abs(a.inner_scale * rows @ rows.T - np.eye(a.dim))) <= 1e-14
+    halves = [peirce.peirce_projectors(c)[0.5].matrix for c in frame]
+    for (i, j), sub in basis.subspaces.items():
+        if i < j:
+            assert np.max(np.abs(sub - sub @ (halves[i] @ halves[j]).T)) <= 1e-14
 
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=lambda a: a.name)

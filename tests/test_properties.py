@@ -10,9 +10,13 @@ calls its oracles on whole arrays, a fixed number of times whatever the grid siz
 The batched cone-point draw keeps every row's spectrum in its interval and
 its rows average to E[lambda] e; the K-orbit of a point averages to a
 multiple of e, and the batched rotations have determinant one.  The box
-rows behind the cached half-space box tensor are (z box c_j) v row by row,
-and the Frobenius steps read through that tensor are tau_{c_j}(z) for z
-anywhere in the half space, on no rows, at rank one and on lorentz(2).  A
+rows behind the cached box tensor are (z box c_j) v row by row, and the
+Frobenius steps read through that tensor are tau_{c_j}(z) for z anywhere in
+the span of E_jk, k > j, on no rows, at rank one and on lorentz(2).  On
+every kind and rank, in the standard and in a rotated frame, the
+decomposition's coordinates map back to S_j work / alpha_j, and the
+projections of the minors are P(c_1 + ... + c_k), both from the references
+built on quad_rep and peirce_projectors.  A
 multiplication algorithm is only its two row maps; the matrix w(x) built
 from them matches the closed forms P(x^{1/2}), t_x, P(x^a) t_{x^{1-2a}} and
 w(x) k (Olkin & Rubin 1962; Faraut & Korányi 1994, ch. VI), and one
@@ -138,23 +142,25 @@ def test_box_rows_are_the_box_operator_applied_row_by_row(a, rotated, seed):
 @PROPERTY
 @given(seed=SEEDS)
 def test_batch_frobenius_is_the_frobenius_transform_on_the_whole_half_space(a, rotated, seed):
+    """Every z in the span of E_jk, k > j, the part of the half space of c_j the group uses."""
     frame, _, _ = frame_and_points(a, rotated, seed, n=0)
     rng = np.random.default_rng(seed)
     v, y = rng.standard_normal((2, 3, a.dim))
     for j in range(a.rank):
-        half = peirce.half_projector(frame, j).matrix
-        basis, tensor = tri.half_box(frame, j)
-        assert basis.shape == ((a.rank - 1) * a.peirce_d, a.dim)
-        assert tensor.shape == (a.dim, len(basis) * a.dim)
-        assert_allclose(basis @ basis.T, np.eye(len(basis)), rtol=0, atol=1e-12)
-        assert_allclose(basis.T @ basis, half, rtol=0, atol=1e-12)
-        z = v @ half.T
-        got = tri.batch_frobenius(frame, j, z, y)
+        rows = tri.upper_rows(frame, j)
+        tensor = tri.box_tensor(frame, j)
+        assert rows.shape == ((a.rank - 1 - j) * a.peirce_d, a.dim)
+        assert tensor.shape == (a.dim, len(rows) * a.dim)
+        assert_allclose(a.inner_scale * rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+        upper = ref.strict_upper_projector(frame, j).matrix if j < a.rank - 1 else np.zeros((a.dim, a.dim))
+        assert_allclose(a.inner_scale * rows.T @ rows, upper, rtol=0, atol=1e-12)
+        z = v @ upper.T
+        coef = a.inner_scale * z @ rows.T
+        assert_allclose(coef @ rows, z, rtol=0, atol=1e-12)
+        got = tri.batch_frobenius(frame, j, coef, y)
         for zi, yi, row in zip(z, y, got):
             want = tri.frobenius_transform(frame[j], alg.Element(a, zi), peirce.half_projector(frame, j))
             assert_allclose(row, want.matrix @ yi, rtol=0, atol=1e-12)
-        # a component of z outside the half space is dropped
-        assert_allclose(tri.batch_frobenius(frame, j, v, y), got, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("a", [alg.sym_real(1), alg.herm_complex(1), alg.lorentz(2)], ids=lambda a: a.name)
@@ -164,16 +170,18 @@ def test_frobenius_steps_on_no_rows_rank_one_and_the_smallest_lorentz(a):
     rng = np.random.default_rng(4)
     none = np.zeros((0, a.dim))
     for j in range(a.rank):
-        basis, tensor = tri.half_box(frame, j)
-        assert basis.shape == ((a.rank - 1) * a.peirce_d, a.dim)
-        assert tensor.shape == (a.dim, len(basis) * a.dim)
-        assert tri.batch_frobenius(frame, j, none, none).shape == (0, a.dim)
-        z, y = rng.standard_normal((2, 3, a.dim))
-        got = tri.batch_frobenius(frame, j, z, y)
-        for zi, yi, row in zip(z, y, got):
-            want = tri.frobenius_transform(frame[j], alg.Element(a, zi)).matrix @ yi
+        rows = tri.upper_rows(frame, j)
+        tensor = tri.box_tensor(frame, j)
+        assert rows.shape == ((a.rank - 1 - j) * a.peirce_d, a.dim)
+        assert tensor.shape == (a.dim, len(rows) * a.dim)
+        assert tri.batch_frobenius(frame, j, np.zeros((0, len(rows))), none).shape == (0, a.dim)
+        v, y = rng.standard_normal((2, 3, a.dim))
+        coef = a.inner_scale * v @ rows.T
+        got = tri.batch_frobenius(frame, j, coef, y)
+        for ci, yi, row in zip(coef, y, got):
+            want = tri.frobenius_transform(frame[j], alg.Element(a, ci @ rows)).matrix @ yi
             assert_allclose(row, want, rtol=0, atol=1e-12)
-        if a.rank == 1:
+        if len(rows) == 0:
             assert np.array_equal(got, y)
     batch = tri.batch_triangular_decompose(none, frame)
     assert batch.apply(none).shape == batch.solve(none).shape == (0, a.dim)
@@ -182,6 +190,24 @@ def test_frobenius_steps_on_no_rows_rank_one_and_the_smallest_lorentz(a):
     e = np.tile(alg.identity(a).coords, (5, 1))
     assert_allclose(batch.apply(e), x, rtol=0, atol=1e-12)
     assert_allclose(batch.solve(x), e, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("a", EVERY_KIND, ids=lambda a: a.name)
+def test_peirce_basis_maps_match_their_quad_rep_references(a, rotated):
+    """The coordinates of each z_j, mapped back by upper_rows, are S_j work / alpha_j
+    along the peel, and the projections of the minors are P(c_1 + ... + c_k)."""
+    frame, _, coords = frame_and_points(a, rotated, 11)
+    batch = tri.batch_triangular_decompose(coords, frame)
+    work = coords
+    for j in range(a.rank - 1):
+        want = work @ ref.strict_upper_projector(frame, j).matrix.T / batch.diagonal[:, j, None]
+        got = batch.frobenius_params[j] @ tri.upper_rows(frame, j)
+        assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+        work = tri.batch_frobenius(frame, j, -batch.frobenius_params[j], work)
+    for k in range(1, a.rank):
+        want = ref.leading_projector(frame, k).matrix
+        assert_allclose(peirce.leading_projector(frame, k), want, rtol=0, atol=1e-12)
 
 
 def reference_w(w, x):

@@ -6,6 +6,7 @@ from conelab import algebra as alg
 from conelab import cli, peirce, triangular as tri
 from conelab.errors import DomainError
 
+import reference as ref
 from conftest import ALGEBRAS
 
 
@@ -15,11 +16,12 @@ def half_space_sample(a, frame, basis, j, rng):
 
 
 def reference_decompose(x, frame):
-    """The element-wise peel, kept as the reference for the batched one.
+    """The element-wise peel, kept as the reference for the batched one: (alphas, z rows).
 
-    alpha_j is the E_jj component, z_j solves the half-space components
-    linearly, then tau_{c_j}(-z_j) reduces to the subalgebra of the
-    remaining frame members.
+    alpha_j is the E_jj component, z_j = S_j work / alpha_j with S_j the
+    reference projection onto the span of E_jk, k > j, built from quad_rep
+    and peirce_projectors, then tau_{c_j}(-z_j) reduces to the subalgebra of
+    the remaining frame members.
     """
     r = len(frame)
     work = x
@@ -27,24 +29,32 @@ def reference_decompose(x, frame):
     zs = []
     for j in range(r - 1):
         alphas[j] = alg.inner(work, frame[j])
-        z = tri.strict_upper_projector(frame, j).apply(work) / alphas[j]
-        zs.append(z)
+        z = ref.strict_upper_projector(frame, j).apply(work) / alphas[j]
+        zs.append(z.coords)
         work = tri.frobenius_transform(frame[j], -z, peirce.half_projector(frame, j)).apply(work)
     alphas[r - 1] = alg.inner(work, frame[r - 1])
-    return tri.TriangularBatch(frame, tuple(z.coords[None, :] for z in zs), alphas[None, :])
+    return alphas, zs
+
+
+def z_rows(t, i=0):
+    """The Frobenius parameters z_j of row i of a batch, mapped back from their coordinates."""
+    return [coef[i] @ tri.upper_rows(t.frame, j) for j, coef in enumerate(t.frobenius_params)]
 
 
 def triangular_from_cholesky(mat, frame):
-    """Parameters of the sym_real triangular element x -> T x T^t, T lower triangular,
-    for the standard frame: alpha_j = T_jj^2 and z_j has entries T_kj / T_jj, k > j."""
+    """The sym_real triangular element x -> T x T^t, T lower triangular, for the standard
+    frame, and its z rows: alpha_j = T_jj^2 and z_j has entries T_kj / T_jj, k > j.
+
+    The batch holds the coordinates of the z_j in the frame's upper rows."""
     a = frame.algebra
     alphas = np.diag(mat) ** 2
-    zs = []
+    rows = []
     for j in range(a.rank - 1):
         zm = np.zeros((a.rank, a.rank))
         zm[j, j + 1 :] = zm[j + 1 :, j] = mat[j + 1 :, j] / mat[j, j]
-        zs.append(alg.from_matrix(a, zm).coords[None, :])
-    return tri.TriangularBatch(frame, tuple(zs), alphas[None, :])
+        rows.append(alg.from_matrix(a, zm).coords)
+    coefs = tuple(a.inner_scale * (z @ tri.upper_rows(frame, j).T)[None, :] for j, z in enumerate(rows))
+    return tri.TriangularBatch(frame, coefs, alphas[None, :]), rows
 
 
 def test_box_operator_identity_cases(rng):
@@ -126,14 +136,16 @@ def test_decompose_identity_and_diagonal(rng):
     frame = alg.standard_frame(a)
     t = tri.triangular_decompose(alg.identity(a), frame)
     assert_allclose(t.diagonal, [np.ones(3)], atol=1e-12)
-    for z in t.frobenius_params:
-        assert z.shape == (1, a.dim) and alg.norm(alg.Element(a, z[0])) < 1e-12
+    for j, z in enumerate(t.frobenius_params):
+        assert z.shape == (1, (a.rank - 1 - j) * a.peirce_d)
+    for z in z_rows(t):
+        assert alg.norm(alg.Element(a, z)) < 1e-12
     lam = rng.uniform(0.5, 2.0, 3)
     diag = alg.from_matrix(a, np.diag(lam))
     t = tri.triangular_decompose(diag, frame)
     assert_allclose(t.diagonal, [lam], atol=1e-12)
-    for z in t.frobenius_params:
-        assert alg.norm(alg.Element(a, z[0])) < 1e-12
+    for z in z_rows(t):
+        assert alg.norm(alg.Element(a, z)) < 1e-12
 
 
 def test_decompose_matches_cholesky(rng):
@@ -142,10 +154,10 @@ def test_decompose_matches_cholesky(rng):
     for _ in range(10):
         x = alg.random_cone_element(a, rng, 0.2, 5.0)
         t = tri.triangular_decompose(x, frame)
-        t_chol = triangular_from_cholesky(np.linalg.cholesky(x.to_matrix()), frame)
+        t_chol, chol_rows = triangular_from_cholesky(np.linalg.cholesky(x.to_matrix()), frame)
         assert_allclose(t.diagonal, t_chol.diagonal, rtol=1e-9)
-        for z1, z2 in zip(t.frobenius_params, t_chol.frobenius_params):
-            assert alg.norm(alg.Element(a, z1[0] - z2[0])) < 1e-9
+        for z1, z2 in zip(z_rows(t), chol_rows):
+            assert alg.norm(alg.Element(a, z1 - z2)) < 1e-9
         assert_allclose(
             tri.as_endomorphism(t).matrix, tri.as_endomorphism(t_chol).matrix, atol=1e-9
         )
@@ -157,7 +169,7 @@ def test_decompose_example_values():
     x = alg.from_matrix(a, np.array([[4.0, 2.0], [2.0, 2.0]]))
     t = tri.triangular_decompose(x, frame)
     assert_allclose(t.diagonal, [[4.0, 1.0]], atol=1e-12)
-    assert_allclose(alg.Element(a, t.frobenius_params[0][0]).to_matrix(), [[0, 0.5], [0.5, 0]], atol=1e-12)
+    assert_allclose(alg.Element(a, z_rows(t)[0]).to_matrix(), [[0, 0.5], [0.5, 0]], atol=1e-12)
 
 
 def test_decompose_requires_cone_point():
@@ -245,10 +257,10 @@ def test_batch_decompose_matches_scalar(a, rng):
         xs = [alg.random_cone_element(a, rng, 0.1, 10.0) for _ in range(6)]
         batch = tri.batch_triangular_decompose(np.array([x.coords for x in xs]), frame)
         for i, x in enumerate(xs):
-            t = reference_decompose(x, frame)
-            assert_allclose(batch.diagonal[i], t.diagonal[0], rtol=1e-12)
-            for z_batch, z in zip(batch.frobenius_params, t.frobenius_params):
-                assert_allclose(z_batch[i], z[0], atol=1e-12)
+            alphas, zs = reference_decompose(x, frame)
+            assert_allclose(batch.diagonal[i], alphas, rtol=1e-12)
+            for z_batch, z in zip(z_rows(batch, i), zs):
+                assert_allclose(z_batch, z, atol=1e-12)
         e = np.tile(alg.identity(a).coords, (len(xs), 1))
         assert_allclose(batch.apply(e), [x.coords for x in xs], atol=1e-11)
         assert_allclose(batch.solve(np.array([x.coords for x in xs])), e, atol=1e-12)
@@ -272,19 +284,25 @@ def test_identity_residuals_on_no_samples_and_on_rank_one(a):
 def test_frame_only_projectors_are_built_once():
     a = alg.sym_real(3)
     frame = alg.JordanFrame(alg.standard_frame(a).elements)
+    assert not frame.members.flags.writeable
+    assert np.array_equal(frame.members, [c.coords for c in frame])
+    basis = peirce.build_peirce_basis(frame)
+    assert peirce.build_peirce_basis(frame) is basis
     for j in range(a.rank - 1):
         assert peirce.half_projector(frame, j) is peirce.half_projector(frame, j)
-        assert tri.strict_upper_projector(frame, j) is tri.strict_upper_projector(frame, j)
         half = peirce.peirce_projectors(frame[j])[0.5].matrix
         assert_allclose(peirce.half_projector(frame, j).matrix, half, atol=0)
-    assert frame.leading_projector(2) is frame.leading_projector(2)
+        rows = tri.upper_rows(frame, j)
+        assert tri.upper_rows(frame, j) is rows and not rows.flags.writeable
+        assert rows.shape == ((a.rank - 1 - j) * a.peirce_d, a.dim)
+    assert peirce.leading_projector(frame, 2) is peirce.leading_projector(frame, 2)
     # the box tensors are built on the first Frobenius step, not with the frame
-    assert not any(key[0] == "half_box" for key in frame._cache)
+    assert not any(key[0] == "box" for key in frame._cache)
     tri.batch_triangular_decompose(alg.random_cone_points(a, 4, np.random.default_rng(2), 0.5, 2.0), frame)
     for j in range(a.rank - 1):
-        basis, tensor = tri.half_box(frame, j)
-        assert tri.half_box(frame, j)[0] is basis and tri.half_box(frame, j)[1] is tensor
-        assert not basis.flags.writeable and not tensor.flags.writeable
+        tensor = tri.box_tensor(frame, j)
+        assert tri.box_tensor(frame, j) is tensor and not tensor.flags.writeable
+        assert tensor.shape == (a.dim, (a.rank - 1 - j) * a.peirce_d * a.dim)
 
 
 def _plus_identity(fn, eps):
@@ -297,11 +315,11 @@ def _plus_identity(fn, eps):
 
 
 def _box_plus_identity(fn, eps):
-    """The half-space box tensor of fn with eps times the identity added to every block."""
+    """The box tensor of fn with eps times the identity added to every block."""
 
     def broken(frame, j):
-        basis, tensor = fn(frame, j)
-        return basis, tensor + eps * np.tile(np.eye(len(tensor)), len(basis))
+        tensor = fn(frame, j)
+        return tensor + eps * np.tile(np.eye(len(tensor)), tensor.shape[1] // len(tensor))
 
     return broken
 
@@ -313,7 +331,7 @@ def _box_plus_identity(fn, eps):
         (tri.TriangularBatch, "apply", lambda f: lambda t, y: 1.001 * f(t, y), "roundtrip"),
         (tri.TriangularBatch, "apply", lambda f: lambda t, y: f(t, y) + 1e-3 * alg.identity(t.frame.algebra).coords, "power_cocycle"),
         (tri, "batch_frobenius", lambda f: _plus_identity(f, 1e-3), "frobenius_unit_power"),
-        (tri, "half_box", lambda f: _box_plus_identity(f, 1e-3), "box_nilpotency"),
+        (tri, "box_tensor", lambda f: _box_plus_identity(f, 1e-3), "box_nilpotency"),
         (tri, "batch_norm", lambda f: lambda algebra, coords: np.full(len(coords), np.nan), "roundtrip"),
     ],
     ids=[
@@ -329,8 +347,7 @@ def test_suite_triangular_flags_a_broken_ingredient(monkeypatch, owner, name, br
     """The shared triangular residuals rise above the suite thresholds when an ingredient is wrong.
 
     The ingredients are the batched ones the residuals call: the group action
-    on rows, the Frobenius row map, the cached half-space box tensor and the
-    row norm.
+    on rows, the Frobenius row map, the cached box tensor and the row norm.
     """
     if breaker is not None:
         monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
