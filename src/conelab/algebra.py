@@ -582,9 +582,8 @@ class JordanFrame:
 
     Hashable by identity.  ``members`` holds the member coordinates as one
     read-only (r, dim) array.  Maps that depend on the frame alone (the
-    Peirce half spaces and basis, the projections onto the leading
-    subalgebras and the box tensors of the triangular group) are built on
-    first use and kept for the frame's lifetime.
+    Peirce half spaces and basis, and the rows, L(c_j) and box tensors of the
+    triangular group) are built on first use and kept for the frame's lifetime.
     """
 
     def __init__(self, elements, validate: bool = True, tol: float = IDEMPOTENT_TOL):

@@ -390,20 +390,20 @@ def suite_lukacs(algebra, algorithm, rng, n, tol):
     a = random_cone_element(algebra, rng, 0.8, 1.6)
     a_shift = a + 0.1 * identity(algebra)
     nd_ratio = algebra.dim / algebra.rank
-    if algorithm.spec == "w2":
-        shifts = 0.5 * algebra.peirce_d * np.arange(algebra.rank)
-        s1 = PowerExponent.of(shifts + nd_ratio + 0.8)
-        s2 = PowerExponent.of(shifts + nd_ratio + 0.3)
-        model_x, model_y, model_bad = (
-            riesz_model(RieszParams(s, scale, algorithm.frame), algorithm)
-            for s, scale in ((s1, a), (s2, a), (s2, a_shift))
-        )
-    else:
+    shifts = 0.5 * algebra.peirce_d * np.arange(algebra.rank)
+    s1 = PowerExponent.of(shifts + nd_ratio + 0.8)
+    s2 = PowerExponent.of(shifts + nd_ratio + 0.3)
+    model_x, model_y, model_bad = (
+        riesz_model(RieszParams(s, scale, algorithm.frame), algorithm)
+        for s, scale in ((s1, a), (s2, a), (s2, a_shift))
+    )
+    pairs = draw_cone_pairs(algebra, 50, rng)
+    # Riesz laws where both their Delta_s solve the log-Cauchy equation of the algorithm, Wishart laws elsewhere
+    if not all(wlog_residual(m.mult_fn, algorithm, pairs) <= tol["wlog"] for m in (model_x, model_y)):
         model_x, model_y, model_bad = (
             wishart_model(WishartParams(nd_ratio + p, scale), algorithm, algorithm.frame)
             for p, scale in ((1.2, a), (0.7, a), (0.7, a_shift))
         )
-    pairs = draw_cone_pairs(algebra, 50, rng)
     checks["factorization"] = _check(
         factorization_residual(model_x, model_y, algorithm, pairs), tol["factorization"]
     )

@@ -27,7 +27,8 @@ from .algebra import (
 )
 from .algorithms import MultiplicationAlgorithm
 from .errors import FitError, InconsistencyError, ValidationError
-from .peirce import PowerExponent, batch_generalized_power_log, principal_minors
+from .peirce import PowerExponent, batch_generalized_power_log
+from .triangular import batch_triangular_decompose
 
 FORM_LOG_DET_POWER = "log_det_power"
 FORM_DELTA_S_LOG = "delta_s_log"
@@ -257,11 +258,12 @@ def _richardson_limit(alphas: np.ndarray, values: np.ndarray):
 def _recovered_log_cauchy(values: np.ndarray, coords: np.ndarray, frame, raw, tol: float):
     """Fit delta_s / log-det forms to tabulated values; fall back to ``raw`` as a custom form.
 
+    log Delta_s = sum_k s_k log alpha_k is linear in the log pivots of the
+    triangular decomposition, so s is their least-squares coefficient vector.
     Returns (the recovered function, max fit residual).
     """
     algebra = frame.algebra
-    minors = principal_minors(frame, coords)
-    feats = np.diff(np.log(minors), axis=1, prepend=0.0)
+    feats = np.log(batch_triangular_decompose(coords, frame).diagonal)
     s_hat = np.linalg.lstsq(feats, values, rcond=None)[0]
     resid = _max_abs(feats @ s_hat - values)
     if not resid <= tol:

@@ -1,4 +1,13 @@
-"""Peirce decomposition, principal minors and generalized power functions."""
+"""Peirce decomposition, principal minors and generalized power functions.
+
+The generalized powers Delta_s, the principal minors Delta_k among them, are
+characters of the triangular group of a frame (Faraut & Korányi, *Analysis on
+Symmetric Cones* (1994), ch. VI), and Delta_k(t_x e) = alpha_1 ... alpha_k:
+both are read from the pivots alpha of
+:func:`~conelab.triangular.batch_triangular_decompose`.  They are defined on
+the cone, and a point outside it raises DomainError.  The triangular module
+builds on the Peirce basis here, so this one imports it when first called.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +19,6 @@ from .algebra import (
     Element,
     Endomorphism,
     JordanFrame,
-    batch_eigenvalues,
     batch_jordan_product,
     batch_norm,
     identity,
@@ -18,7 +26,7 @@ from .algebra import (
     norm,
     quad_rep,
 )
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -152,17 +160,6 @@ def _peirce_basis(frame: JordanFrame) -> PeirceBasis:
     return PeirceBasis(frame, subspaces)
 
 
-def leading_projector(frame: JordanFrame, k: int) -> np.ndarray:
-    """Projection onto the subalgebra of c_1 + ... + c_k, cached on the frame: the sum of
-    the projections onto the subspaces E_il, i <= l < k, of :func:`build_peirce_basis`."""
-
-    def build() -> np.ndarray:
-        basis = build_peirce_basis(frame)
-        return sum(basis.projector_matrix(i, l) for i in range(k) for l in range(i, k))
-
-    return frame.cached(("leading", k), build)
-
-
 def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
     """Largest residuals of the Peirce identities over n random samples.
 
@@ -213,59 +210,52 @@ def peirce_identity_residuals(frame, n: int, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _minor_rows(frame: JordanFrame, coords: np.ndarray, k: int) -> np.ndarray:
-    """Delta_k of each row of an (n, dim) coordinate array, shape (n,).
+def _pivots(frame: JordanFrame, coords: np.ndarray) -> np.ndarray:
+    """The (n, r) diagonal alpha of t_x for each row x; DomainError when a row leaves the cone."""
+    from .triangular import batch_triangular_decompose  # triangular imports this module
 
-    Delta_k is the subalgebra determinant of the projection onto the
-    subalgebra of c_1 + ... + c_k (:func:`leading_projector`).  That projection has the subalgebra
-    spectrum plus r - k exact zeros, so Delta_k is the product of its k
-    eigenvalues of largest absolute value.  Delta_r is the determinant; its
-    projection, the identity, is skipped, since the rounded matrix would move
-    the last bits.
-    """
-    if k < len(frame):
-        coords = coords @ leading_projector(frame, k).T
-    lam = batch_eigenvalues(frame.algebra, coords)
-    order = np.argsort(-np.abs(lam), axis=1, kind="stable")
-    return np.take_along_axis(lam, order[:, :k], axis=1).prod(axis=1)
+    return batch_triangular_decompose(coords, frame).diagonal
 
 
 def principal_minors(frame: JordanFrame, coords: np.ndarray) -> np.ndarray:
-    """Minors Delta_1 .. Delta_r of each row of an (n, dim) coordinate array, shape (n, r)."""
-    return np.stack([_minor_rows(frame, coords, k) for k in range(1, len(frame) + 1)], axis=1)
+    """Minors Delta_1 .. Delta_r of each row of an (n, dim) coordinate array, shape (n, r).
+
+    Delta_k(t_x e) = alpha_1 ... alpha_k, the pivots of the triangular
+    decomposition.  Defined on the cone; DomainError for a row outside it.
+    """
+    return np.cumprod(_pivots(frame, coords), axis=1)
 
 
 def principal_minor(x: Element, k: int, frame) -> float:
-    """Minor of order k of x: one row of :func:`principal_minors`, computing that order alone."""
+    """Minor of order k of a cone point x: one entry of :func:`principal_minors`.
+    DomainError when x is outside the cone."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     if not 1 <= k <= x.algebra.rank:
         raise ValidationError(f"minor order {k} outside 1..{x.algebra.rank}")
-    return float(_minor_rows(frame, x.coords[None, :], k)[0])
+    return float(principal_minors(frame, x.coords[None, :])[0, k - 1])
 
 
 def batch_generalized_power_log(frame: JordanFrame, coords: np.ndarray, s) -> np.ndarray:
     """log Delta_s of each row of an (n, dim) coordinate array, shape (n,).
 
     ``s`` is one exponent for every row, or an (n, r) array of one per row.
-    log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x); needs every Delta_k > 0.
+    log Delta_s(t_x e) = sum_k s_k log alpha_k.  Defined on the cone;
+    DomainError for a row outside it.
     """
     rank = frame.algebra.rank
     svec = np.asarray(s, dtype=float) if np.ndim(s) == 2 else exponent_vector(s, rank)
     if svec.ndim == 2 and svec.shape != (len(coords), rank):
         raise ValidationError(f"per-row exponents need shape ({len(coords)}, {rank}), got {svec.shape}")
-    minors = principal_minors(frame, coords)
-    if np.any(minors <= 0.0):
-        raise DomainError("generalized power needs all principal minors positive")
-    weights = svec.copy()
-    weights[..., :-1] -= svec[..., 1:]
-    if weights.ndim == 1:
-        return np.log(minors) @ weights
-    return np.einsum("nk,nk->n", np.log(minors), weights)
+    log_alpha = np.log(_pivots(frame, coords))
+    if svec.ndim == 1:
+        return log_alpha @ svec
+    return np.einsum("nk,nk->n", log_alpha, svec)
 
 
 def generalized_power_log(x: Element, s, frame) -> float:
-    """log Delta_s(x): one row of :func:`batch_generalized_power_log`."""
+    """log Delta_s(x) of a cone point x: one row of :func:`batch_generalized_power_log`.
+    DomainError when x is outside the cone."""
     if not isinstance(frame, JordanFrame):
         frame = JordanFrame(frame)
     return float(batch_generalized_power_log(frame, x.coords[None, :], s)[0])

@@ -6,10 +6,12 @@ Elements, so a test can compare a batch row by row with an independent
 path: the quotient map (x, y) -> (g(x+y) x, x+y), w(x) y, the Peirce
 projections and norm identities (Faraut & Korányi, *Analysis on Symmetric
 Cones*, ch. IV), the generalized power Delta_s (ch. VI) and the spectral
-power x^alpha.  The frame maps of the triangular group and of the minors,
-S_j and the leading projections, are built here from ``quad_rep`` and
-``peirce_projectors`` of sums of frame members, apart from the Peirce basis
-the library reads them from.  ``peirce_identity_residuals_per_sample`` is the
+power x^alpha.  The frame maps of the triangular group, S_j, and the leading
+projections are built here from ``quad_rep`` and ``peirce_projectors`` of
+sums of frame members, apart from the Peirce basis the library reads S_j
+from.  The principal minors are read from the eigenvalues of the leading
+projections of x, apart from the triangular pivots the library reads them
+from.  ``peirce_identity_residuals_per_sample`` is the
 sample-by-sample form of :func:`conelab.peirce.peirce_identity_residuals`
 and makes the same generator calls in the same order.
 """
@@ -125,6 +127,21 @@ def member_sum(frame, start: int, stop: int):
 def leading_projector(frame, k: int):
     """P(c_1 + ... + c_k): the projection onto the subalgebra of the first k frame members."""
     return alg.quad_rep(member_sum(frame, 0, k))
+
+
+def principal_minors(frame, coords) -> np.ndarray:
+    """Delta_1 .. Delta_r of each row of an (n, dim) coordinate array, shape (n, r).
+
+    P(c_1 + ... + c_k) x has the spectrum of x's minor in the subalgebra of
+    c_1 + ... + c_k plus r - k zeros, so Delta_k is the product of its k
+    eigenvalues of largest absolute value.
+    """
+    minors = []
+    for k in range(1, len(frame) + 1):
+        lam = alg.batch_eigenvalues(frame.algebra, coords @ leading_projector(frame, k).matrix.T)
+        order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+        minors.append(np.take_along_axis(lam, order[:, :k], axis=1).prod(axis=1))
+    return np.stack(minors, axis=1)
 
 
 def strict_upper_projector(frame, j: int):

@@ -439,3 +439,34 @@ def test_sample_output_must_be_a_bare_file_name(tmp_path, capsys, output):
 def test_sample_rejects_unknown_distribution(tmp_path):
     cfg = write_config(tmp_path, name="s.json", distribution={"type": "gauss"})
     assert cli.main(["sample", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "algebra, spec, law",
+    [
+        ("sym_real(2)", "w2", "riesz"),
+        ("herm_complex(3)", "w2", "riesz"),
+        ("lorentz(4)", "w2", "riesz"),
+        ("lorentz(4)", "kext:w2:3", "riesz"),
+        ("sym_real(2)", "w1", "wishart"),
+        ("herm_complex(3)", "interp:0.25", "wishart"),
+        ("lorentz(4)", "kext:w1:3", "wishart"),
+        ("sym_real(1)", "w1", "riesz"),
+        ("sym_real(1)", "interp:0.25", "riesz"),
+    ],
+)
+def test_lukacs_takes_riesz_laws_where_their_powers_solve_the_log_cauchy_equation(monkeypatch, algebra, spec, law):
+    """The suite builds the Riesz laws, and replaces them by Wishart laws when a Riesz
+    Delta_s fails the log-Cauchy equation of the algorithm; on rank 1 every Delta_s is a
+    power of det, a solution for every algorithm."""
+    calls = []
+    for name in ("riesz_model", "wishart_model"):
+
+        def record(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+    a = alg.parse_algebra(algebra)
+    cli.suite_lukacs(a, cli.parse_algorithm(spec, a), np.random.default_rng(5), 100, cli.DEFAULT_TOLERANCES)
+    assert calls == ["riesz_model"] * 3 + (["wishart_model"] * 3 if law == "wishart" else [])

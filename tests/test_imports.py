@@ -6,7 +6,9 @@ sample``, ``conelab decompose`` and ``conelab run`` of every suite, the
 permutation tests, cone Gamma functions and the quadrature check included,
 leave no scipy module in ``sys.modules``.  A child pinned to one CPU before
 it imports numpy sizes the permutation pool to one worker and writes the
-same bytes as an unpinned child.  Every library name the benchmark under
+same bytes as an unpinned child.  ``conelab.peirce``, ``conelab.triangular``,
+``conelab.funceq`` and ``conelab.distributions`` each import first in a fresh
+interpreter, so no import cycle runs at load time.  Every library name the benchmark under
 ``conebench/`` patches or reads still exists.
 """
 
@@ -62,6 +64,18 @@ def config(tmp_path, **fields):
 
 def test_import_loads_no_scipy():
     assert fresh_run() == (None, [])
+
+
+# import the module argv[1] before any other conelab module and print its name
+IMPORT_FIRST = """
+import importlib, json, sys
+print(json.dumps(importlib.import_module(sys.argv[1]).__name__))
+"""
+
+
+@pytest.mark.parametrize("module", ["conelab.peirce", "conelab.triangular", "conelab.funceq", "conelab.distributions"])
+def test_each_module_imports_first_without_a_cycle(module):
+    assert fresh_python(IMPORT_FIRST, module) == module
 
 
 @pytest.mark.parametrize(

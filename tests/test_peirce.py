@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conelab import algebra as alg
-from conelab import cli, peirce
+from conelab import cli, peirce, triangular as tri
 from conelab.errors import DomainError, ValidationError
 
 import reference as ref
@@ -200,7 +200,7 @@ def test_suite_peirce_constant_power_det_flags_scaled_eigenvalues(monkeypatch, a
     def scaled(algebra, coords):
         return 1.001 * alg.batch_eigenvalues(algebra, coords)
 
-    for module in (peirce, cli):
+    for module in (tri, cli):
         monkeypatch.setattr(module, "batch_eigenvalues", scaled)
     checks = cli.suite_peirce(a, None, np.random.default_rng(5), 40, cli.DEFAULT_TOLERANCES)
     assert not checks["constant_power_det"]["passed"]
@@ -284,12 +284,24 @@ def test_per_row_exponents_match_one_exponent_calls(a, rng):
             peirce.batch_generalized_power_log(frame, x, bad)
 
 
-def test_generalized_power_domain_error():
-    a = alg.sym_real(2)
+@pytest.mark.parametrize("a", ALGEBRAS + [alg.sym_real(1)], ids=lambda a: a.name)
+@pytest.mark.parametrize("negated", ["last", "all"])
+def test_generalized_power_domain_error(a, negated, rng):
+    """Outside the cone, with the last or every eigenvalue negative, every minor and power raises."""
+    sd = alg.spectral_decompose(alg.random_cone_element(a, rng, 0.5, 2.0))
+    lam = rng.uniform(0.5, 2.0, a.rank)
+    lam[-1 if negated == "last" else slice(None)] *= -1.0
+    x = alg.Element(a, lam @ np.array([c.coords for c in sd.frame]))
     frame = alg.standard_frame(a)
-    x = alg.from_matrix(a, np.diag([1.0, -1.0]))
-    with pytest.raises(DomainError):
-        peirce.generalized_power_log(x, (1.0, 1.0), frame)
+    s = np.ones(a.rank)
+    for call in (
+        lambda: peirce.principal_minor(x, a.rank, frame),
+        lambda: peirce.principal_minors(frame, x.coords[None, :]),
+        lambda: peirce.batch_generalized_power_log(frame, x.coords[None, :], s),
+        lambda: peirce.generalized_power_log(x, s, frame),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_power_exponent_validation():
